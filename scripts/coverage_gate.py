@@ -12,8 +12,8 @@ Runs a subsystem-focused pytest selection under the stdlib ``trace``
 module (no ``coverage``/``pytest-cov`` dependency) and fails when the
 aggregate executed-line fraction of any target directory — by default
 ``src/repro/mem``, ``src/repro/core``, ``src/repro/frontend``,
-``src/repro/harness`` and ``src/repro/service`` — drops below the
-floor.  CI runs this after the
+``src/repro/harness``, ``src/repro/service``, ``src/repro/workloads``
+and ``src/repro/common`` — drops below the floor.  CI runs this after the
 tier-1 suite so a PR cannot silently orphan the MSHR/hierarchy/policy,
 i-Filter/CSHR/predictor/controller, branch-stack/FDP/entangling/plan,
 or runner/checkpoint/fault-recovery code paths the differential
@@ -74,6 +74,11 @@ DEFAULT_PYTEST_ARGS = [
     "tests/test_generator_properties.py",
     "tests/test_search_strategies.py",
     "tests/test_search_harness.py",
+    "tests/test_artifacts.py",
+    "tests/test_bitops.py",
+    "tests/test_containers.py",
+    "tests/test_counters.py",
+    "tests/test_stats.py",
     # Sigterm excluded: the subprocess server's coverage is invisible
     # to the in-process tracer and the spawn costs the gate seconds.
     "-k", "not 20k and not Simulate and not conservation and not Sigterm"
@@ -89,6 +94,7 @@ DEFAULT_TARGETS = [
     "src/repro/harness",
     "src/repro/service",
     "src/repro/workloads",
+    "src/repro/common",
 ]
 
 

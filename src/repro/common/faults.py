@@ -9,8 +9,10 @@ grammar is::
     REPRO_FAULT="site:kind@n[,site:kind@n...]"
 
 where ``site`` names an instrumented hook point (``worker``,
-``checkpoint``, ``sidecar``, ``trace-npz``, ``shard`` — the last fires
-after a shard-ledger boundary commit, path = the boundary state file),
+``checkpoint``, ``sidecar``, ``npz``, ``shard``; ``npz`` and
+``sidecar`` fire after the artifact store commits any kind's ``.npz``
+or sidecar ``meta.json``, ``shard`` after a shard-ledger boundary
+commit, path = the boundary state file),
 ``kind`` is one of
 
 * ``kill``      — SIGKILL the current process (a crashed worker),
@@ -29,7 +31,7 @@ generations: the latch file is created *before* the fault fires, and any
 process that sees it existing skips injection entirely.  Without the
 latch, a pool rebuilt after a ``kill`` fault would re-fire it forever.
 
-This lives in ``repro.common`` so leaf modules (trace/plan writers) can
+This lives in ``repro.common`` so leaf modules (the artifact store) can
 hook it without layering violations; :mod:`repro.harness.faults`
 re-exports the public surface at the path the harness documents.
 """
@@ -47,7 +49,7 @@ from typing import Dict, Optional, Tuple
 HANG_SECONDS = 60.0
 
 KINDS = ("kill", "raise", "hang", "truncate", "stale")
-SITES = ("worker", "checkpoint", "sidecar", "trace-npz", "shard")
+SITES = ("worker", "checkpoint", "sidecar", "npz", "shard")
 
 #: Bytes ``stale`` faults plant: valid-looking JSON with a fingerprint
 #: no live run can produce, so staleness checks must reject it.

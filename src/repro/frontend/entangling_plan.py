@@ -51,14 +51,12 @@ equivalence story, selected by ``REPRO_ENTANGLING_PLAN``:
   entries separately so they can never be mistaken for exact ones).
 * ``off`` — the pre-plan behaviour: every entangling run is live.
 
-Plans are cached like FrontendPlans: in-process memo, then
-``<workload>.<fingerprint>.ent.npz`` under the plan cache dir, plus an
-uncompressed ``.mmap/`` sidecar served via ``np.load(mmap_mode="r")``
-so resident sweep workers share one page cache.  The fingerprint covers
-the trace content digest, the *whole* machine configuration (recorded
-timing depends on all of it), the reference scheme name, the entangling
-table geometry and the branch-stack geometry; any mismatch discards and
-rebuilds the entry.
+Plans are cached by the artifact store (:mod:`repro.common.artifacts`)
+as ``<workload>.<fingerprint>.ent.npz`` under the plan cache dir.  The
+fingerprint covers the trace content digest, the *whole* machine
+configuration (recorded timing depends on all of it), the reference
+scheme name, the entangling table geometry and the branch-stack
+geometry; any mismatch discards and rebuilds the entry.
 """
 
 from __future__ import annotations
@@ -68,8 +66,6 @@ import inspect
 import json
 import os
 import re
-import shutil
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -77,17 +73,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.common.artifacts import ArtifactStore
 from repro.frontend.entangling import EntanglingPrefetcher
 from repro.frontend.plan import (
     FrontendPlan,
-    _mmap_enabled,
     _stack_geometry,
     build_plan,
     cached_plan,
-    mmap_sidecar_path,
     plan_cache_dir,
-    read_sidecar_dir,
-    write_sidecar_dir,
 )
 from repro.frontend.stack import BranchStack
 from repro.uarch.params import MachineParams
@@ -100,17 +93,6 @@ ENTANGLING_PLAN_FORMAT = 1
 #: The scheme whose training stream approx-mode sweeps share.  LRU is
 #: the paper's baseline and the scheme every figure normalises against.
 ENTANGLING_REFERENCE_SCHEME = "lru"
-
-#: The plan's bulk arrays, in the order the mmap sidecar stores them.
-ENTANGLING_ARRAY_FIELDS = (
-    "cand_blocks",
-    "cand_lo",
-    "cand_hi",
-    "miss_rec",
-    "miss_cycle",
-    "ent_src",
-    "ent_dst",
-)
 
 #: Reference-run scalars embedded in the plan (drift measurement and
 #: equivalence tests read these without re-running pass 1).
@@ -220,7 +202,20 @@ class EntanglingPlan:
     miss_cycle: np.ndarray   # int64, cycle of each reference demand miss
     ent_src: np.ndarray      # int64, entangling sources, formation order
     ent_dst: np.ndarray      # int64, entangling destinations
-    base: FrontendPlan = field(repr=False)  #: mispredict stream provider
+    #: Mispredict stream provider; attached by the builder or, for a
+    #: plan loaded from disk, by :func:`cached_entangling_plan`.
+    base: Optional[FrontendPlan] = field(default=None, repr=False)
+
+    #: The bulk arrays the artifact store persists.
+    FIELDS = (
+        "cand_blocks",
+        "cand_lo",
+        "cand_hi",
+        "miss_rec",
+        "miss_cycle",
+        "ent_src",
+        "ent_dst",
+    )
 
     def __len__(self) -> int:
         return len(self.cand_lo)
@@ -262,10 +257,9 @@ class EntanglingPlan:
         Mirrors :meth:`FrontendPlan.slice
         <repro.frontend.plan.FrontendPlan.slice>`: everything indexed by
         record or by candidate position is re-based to the window
-        origin, so the slice round-trips through
-        :meth:`save`/:meth:`load`/:meth:`load_mmap` unchanged.  The
-        recorder appends one span per record, so spans tile
-        ``cand_blocks`` contiguously (``cand_lo[i] == cand_hi[i-1]``) —
+        origin, so the slice round-trips through the artifact store
+        unchanged.  The recorder appends one span per record, so spans
+        tile ``cand_blocks`` contiguously (``cand_lo[i] == cand_hi[i-1]``) —
         slicing the block stream is a single cut at the window's span
         boundaries.  Reference miss events are filtered to the window
         and re-based; the entangled-pair log (``ent_src``/``ent_dst``)
@@ -298,9 +292,9 @@ class EntanglingPlan:
             base=self.base.slice(lo, hi),
         )
 
-    # -- persistence --------------------------------------------------------
+    # -- persistence (see repro.common.artifacts) ---------------------------
 
-    def _meta(self) -> Dict[str, object]:
+    def meta(self) -> Dict[str, object]:
         return {
             "format": ENTANGLING_PLAN_FORMAT,
             "fingerprint": self.fingerprint,
@@ -313,43 +307,9 @@ class EntanglingPlan:
             "ref_scalars": self.ref_scalars,
         }
 
-    def save(self, path: Path) -> None:
-        """Write the ``.ent.npz`` plus its mmap sidecar (write-then-rename).
-
-        The finally-unlink reaps the temp file if the write (or rename)
-        raises; after a successful rename it no longer exists.
-        """
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp.npz")
-        try:
-            np.savez_compressed(
-                tmp,
-                meta=np.bytes_(
-                    json.dumps(self._meta(), sort_keys=True).encode()
-                ),
-                **{
-                    name: getattr(self, name)
-                    for name in ENTANGLING_ARRAY_FIELDS
-                },
-            )
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
-        self.write_mmap_sidecar(mmap_sidecar_path(path))
-
-    def write_mmap_sidecar(self, dirpath: Path) -> None:
-        write_sidecar_dir(
-            dirpath,
-            {name: getattr(self, name) for name in ENTANGLING_ARRAY_FIELDS},
-            self._meta(),
-        )
-
     @classmethod
-    def _from_parts(
-        cls,
-        meta: Dict[str, object],
-        arrays: Dict[str, np.ndarray],
-        base: FrontendPlan,
+    def from_parts(
+        cls, meta: Dict[str, object], arrays: Dict[str, np.ndarray]
     ) -> "EntanglingPlan":
         if int(meta["format"]) != ENTANGLING_PLAN_FORMAT:
             raise ValueError(
@@ -366,8 +326,6 @@ class EntanglingPlan:
             or len(arrays["ent_src"]) != len(arrays["ent_dst"])
         ):
             raise ValueError("inconsistent entangling plan array lengths")
-        if len(base) != n or base.warmup_end != int(meta["warmup_end"]):
-            raise ValueError("entangling plan does not match its base plan")
         return cls(
             trace_name=str(meta["trace_name"]),
             trace_digest=str(meta["trace_digest"]),
@@ -376,25 +334,8 @@ class EntanglingPlan:
             warmup_end=int(meta["warmup_end"]),
             fingerprint=str(meta["fingerprint"]),
             ref_scalars=dict(meta["ref_scalars"]),
-            base=base,
             **arrays,
         )
-
-    @classmethod
-    def load(cls, path: Path, base: FrontendPlan) -> "EntanglingPlan":
-        """Load from the ``.ent.npz``; raises on any corruption."""
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["meta"]).decode())
-            arrays = {
-                name: data[name] for name in ENTANGLING_ARRAY_FIELDS
-            }
-        return cls._from_parts(meta, arrays, base)
-
-    @classmethod
-    def load_mmap(cls, dirpath: Path, base: FrontendPlan) -> "EntanglingPlan":
-        """Load from the mmap sidecar; bulk arrays stay memory-mapped."""
-        meta, arrays = read_sidecar_dir(dirpath, ENTANGLING_ARRAY_FIELDS)
-        return cls._from_parts(meta, arrays, base)
 
 
 # -- fingerprinting ------------------------------------------------------------
@@ -515,13 +456,12 @@ def _entangling_plan_path(trace: Trace, fingerprint: str) -> Path:
 
 #: Entangling plans are per-scheme, so a sweep touches more of them
 #: than FrontendPlans; still small — one workload's schemes at a time.
-_MEMO_CAP = 4
-_memo: "OrderedDict[str, EntanglingPlan]" = OrderedDict()
+ENTANGLING_PLAN_STORE = ArtifactStore(EntanglingPlan, memo_cap=4)
 
 
 def clear_entangling_plan_memo() -> None:
     """Drop the in-process entangling-plan memo (tests)."""
-    _memo.clear()
+    ENTANGLING_PLAN_STORE.clear_memo()
 
 
 def cached_entangling_plan(
@@ -540,48 +480,29 @@ def cached_entangling_plan(
     is only invoked on a miss; it must return a *fresh* scheme instance
     for ``scheme_name`` (the harness passes a registry factory — the
     frontend layer deliberately does not import the scheme registry).
-
-    Lookup order and staleness handling mirror
-    :func:`repro.frontend.plan.cached_plan`: memo, mmap sidecar, npz,
-    then build; corrupt or fingerprint-stale entries are discarded and
-    rebuilt.
     """
     fingerprint = entangling_fingerprint(trace, machine, scheme_name)
-    plan = _memo.get(fingerprint)
-    if plan is not None:
-        _memo.move_to_end(fingerprint)
-        return plan, None
-    if use_disk is None:
-        use_disk = os.environ.get("REPRO_NO_DISK_CACHE", "") != "1"
-    path = _entangling_plan_path(trace, fingerprint)
-    sidecar = mmap_sidecar_path(path)
-    base = cached_plan(trace, machine, "none", use_disk=use_disk)
-    if use_disk and _mmap_enabled() and sidecar.exists():
-        try:
-            plan = EntanglingPlan.load_mmap(sidecar, base)
-            if plan.fingerprint != fingerprint or len(plan) != len(trace):
-                raise ValueError("stale entangling plan mmap sidecar")
-        except Exception:
-            shutil.rmtree(sidecar, ignore_errors=True)  # corrupt/stale
-            plan = None
-    if plan is None and use_disk and path.exists():
-        try:
-            plan = EntanglingPlan.load(path, base)
-            if plan.fingerprint != fingerprint or len(plan) != len(trace):
-                raise ValueError("stale entangling plan cache entry")
-        except Exception:
-            path.unlink(missing_ok=True)  # corrupt/stale: rebuild
-            plan = None
-        if plan is not None and _mmap_enabled() and not sidecar.exists():
-            plan.write_mmap_sidecar(sidecar)  # repair for future workers
     run = None
-    if plan is None:
+
+    def build() -> EntanglingPlan:
+        nonlocal run
+        base = cached_plan(trace, machine, "none", use_disk=use_disk)
         plan, run = build_entangling_plan(
             trace, machine, scheme_builder(), scheme_name, base=base
         )
-        if use_disk:
-            plan.save(path)
-    _memo[fingerprint] = plan
-    while len(_memo) > _MEMO_CAP:
-        _memo.popitem(last=False)
+        return plan
+
+    n = len(trace)
+    plan = ENTANGLING_PLAN_STORE.get(
+        _entangling_plan_path(trace, fingerprint),
+        build,
+        expect={
+            "fingerprint": fingerprint,
+            "records": n,
+            "warmup_end": int(n * machine.warmup_fraction),
+        },
+        use_disk=use_disk,
+    )
+    if plan.base is None:
+        plan.base = cached_plan(trace, machine, "none", use_disk=use_disk)
     return plan, run

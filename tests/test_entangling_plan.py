@@ -22,11 +22,12 @@ import json
 import numpy as np
 import pytest
 
+from repro.common.artifacts import sidecar_path
 from repro.frontend.entangling import EntanglingPrefetcher
 from repro.frontend.entangling_plan import (
     ENTANGLING_PLAN_FORMAT,
+    ENTANGLING_PLAN_STORE,
     ENTANGLING_REFERENCE_SCHEME,
-    EntanglingPlan,
     RecordingEntanglingPrefetcher,
     build_entangling_plan,
     cached_entangling_plan,
@@ -34,7 +35,7 @@ from repro.frontend.entangling_plan import (
     entangling_fingerprint,
     entangling_plan_mode,
 )
-from repro.frontend.plan import clear_plan_memo, mmap_sidecar_path
+from repro.frontend.plan import clear_plan_memo
 from repro.frontend.stack import BranchStack
 from repro.harness.experiment import run_experiment
 from repro.harness.schemes import SchemeContext, available_schemes, make_scheme
@@ -259,7 +260,6 @@ def isolated_caches(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path))
     monkeypatch.delenv("REPRO_NO_DISK_CACHE", raising=False)
     monkeypatch.delenv("REPRO_ENTANGLING_PLAN", raising=False)
-    monkeypatch.delenv("REPRO_PLAN_MMAP", raising=False)
     clear_plan_memo()
     clear_entangling_plan_memo()
     yield tmp_path
@@ -400,7 +400,7 @@ class TestPlanCache:
         trace = random_trace(22, n=800)
         plan, _ = _cached(trace)
         (entry,) = isolated_caches.glob("*.ent.npz")
-        assert mmap_sidecar_path(entry).is_dir()
+        assert sidecar_path(entry).is_dir()
 
         clear_entangling_plan_memo()
         loaded, _ = _cached(trace)
@@ -413,15 +413,15 @@ class TestPlanCache:
         trace = random_trace(23, n=800)
         plan, _ = _cached(trace)
         (entry,) = isolated_caches.glob("*.ent.npz")
-        sidecar = mmap_sidecar_path(entry)
+        sidecar = sidecar_path(entry)
         (sidecar / "cand_lo.npy").write_bytes(b"\x93NUMPY garbage")
 
         clear_entangling_plan_memo()
         loaded, rerun = _cached(trace)
         assert rerun is None  # repaired from the npz, not re-recorded
         assert np.array_equal(loaded.cand_lo, plan.cand_lo)
-        assert EntanglingPlan.load_mmap(
-            sidecar, loaded.base
+        assert ENTANGLING_PLAN_STORE.read_sidecar(
+            entry
         ).fingerprint == plan.fingerprint  # sidecar was rebuilt
 
     def test_corrupt_npz_is_rebuilt(self, isolated_caches):
@@ -430,7 +430,7 @@ class TestPlanCache:
         trace = random_trace(24, n=800)
         plan, _ = _cached(trace)
         (entry,) = isolated_caches.glob("*.ent.npz")
-        shutil.rmtree(mmap_sidecar_path(entry))
+        shutil.rmtree(sidecar_path(entry))
         entry.write_text("{not an npz")
 
         clear_entangling_plan_memo()
@@ -442,7 +442,7 @@ class TestPlanCache:
         trace = random_trace(25, n=800)
         plan, _ = _cached(trace)
         (entry,) = isolated_caches.glob("*.ent.npz")
-        sidecar = mmap_sidecar_path(entry)
+        sidecar = sidecar_path(entry)
         meta_path = sidecar / "meta.json"
         meta = json.loads(meta_path.read_text())
         meta["fingerprint"] = "0" * 12

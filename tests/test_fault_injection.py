@@ -13,11 +13,13 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import shutil
 
 import numpy as np
 import pytest
 
 from repro.common import faults
+from repro.common.artifacts import sidecar_path
 from repro.harness.checkpoint import CheckpointStore, run_fingerprint
 from repro.harness.faults import (
     FaultInjected,
@@ -28,7 +30,6 @@ from repro.harness.faults import (
 from repro.harness.runner import _SCALAR_FIELDS, Runner, _SweepJournal
 from repro.uarch.timing import RunResult
 from repro.workloads.profiles import get_workload
-from repro.workloads.trace import mmap_sidecar_path
 
 RECORDS = 3_000
 WORKLOADS = ("x264", "gcc")
@@ -311,13 +312,12 @@ class TestFileMangleFaults:
 
     def test_trace_sidecar_stale_rebuilt(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
-        monkeypatch.delenv("REPRO_TRACE_MMAP", raising=False)
         monkeypatch.setenv("REPRO_FAULT", "sidecar:stale@1")
         monkeypatch.delenv("REPRO_FAULT_ONCE", raising=False)
         faults.reset()
         fresh = get_workload("x264").trace(records=RECORDS)
         (npz,) = tmp_path.glob("*.npz")
-        sidecar = mmap_sidecar_path(npz)
+        sidecar = sidecar_path(npz)
         assert (sidecar / "meta.json").read_bytes() == STALE_BYTES
 
         loaded = get_workload("x264").trace(records=RECORDS)
@@ -328,13 +328,14 @@ class TestFileMangleFaults:
 
     def test_trace_npz_truncate_rebuilt(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
-        monkeypatch.setenv("REPRO_TRACE_MMAP", "0")
-        monkeypatch.setenv("REPRO_FAULT", "trace-npz:truncate@1")
+        monkeypatch.setenv("REPRO_FAULT", "npz:truncate@1")
         monkeypatch.delenv("REPRO_FAULT_ONCE", raising=False)
         faults.reset()
         fresh = get_workload("x264").trace(records=RECORDS)
         (npz,) = tmp_path.glob("*.npz")
         truncated_size = npz.stat().st_size
+        # Force the npz path: the sidecar was written from good arrays.
+        shutil.rmtree(sidecar_path(npz))
 
         monkeypatch.delenv("REPRO_FAULT")
         faults.reset()

@@ -13,20 +13,21 @@ plan analogue of ``tests/test_runner_cache.py``.
 from __future__ import annotations
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+from repro.common.artifacts import sidecar_path
 from repro.frontend.fdp import NullPrefetcher
 from repro.frontend.plan import (
     PLAN_FORMAT,
-    FrontendPlan,
+    PLAN_STORE,
     build_plan,
     build_plan_reference,
     cached_plan,
     clear_plan_memo,
     frontend_fingerprint,
-    mmap_sidecar_path,
     plannable,
 )
 from repro.frontend.stack import BranchStack
@@ -305,11 +306,9 @@ class TestSimulateArgumentValidation:
 def plan_cache(tmp_path, monkeypatch):
     """Isolated plan cache on disk, empty in-process memo.
 
-    mmap sidecar reads are disabled so these tests exercise the npz
-    layer in isolation; ``TestPlanMmapSidecar`` covers the sidecar.
+    ``TestPlanMmapSidecar`` covers the sidecar layer.
     """
     monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path))
-    monkeypatch.setenv("REPRO_PLAN_MMAP", "0")
     monkeypatch.delenv("REPRO_NO_DISK_CACHE", raising=False)
     clear_plan_memo()
     yield tmp_path
@@ -318,9 +317,8 @@ def plan_cache(tmp_path, monkeypatch):
 
 @pytest.fixture()
 def mmap_plan_cache(tmp_path, monkeypatch):
-    """Isolated plan cache with mmap sidecar reads enabled."""
+    """Isolated plan cache (sidecars are written on every save)."""
     monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path))
-    monkeypatch.setenv("REPRO_PLAN_MMAP", "1")
     monkeypatch.delenv("REPRO_NO_DISK_CACHE", raising=False)
     clear_plan_memo()
     yield tmp_path
@@ -334,6 +332,7 @@ class TestPlanCache:
         trace = random_trace(1, n=800)
         fresh = cached_plan(trace, DEFAULT_MACHINE, "fdp")
         (entry,) = plan_cache.glob("*.npz")
+        shutil.rmtree(sidecar_path(entry))  # force the npz layer
 
         clear_plan_memo()  # force the disk layer
         loaded = cached_plan(trace, DEFAULT_MACHINE, "fdp")
@@ -361,7 +360,7 @@ class TestPlanCache:
             assert np.array_equal(getattr(rebuilt, name), getattr(fresh, name))
         # The corrupt file was replaced by a valid, loadable entry.
         (entry,) = plan_cache.glob("*.npz")
-        assert FrontendPlan.load(entry).fingerprint == fresh.fingerprint
+        assert PLAN_STORE.read_npz(entry).fingerprint == fresh.fingerprint
 
     def test_stale_fingerprint_is_rebuilt(self, plan_cache):
         """An entry whose embedded fingerprint mismatches is stale.
@@ -374,10 +373,10 @@ class TestPlanCache:
         fresh = cached_plan(trace, DEFAULT_MACHINE, "fdp")
         (entry,) = plan_cache.glob("*.npz")
 
-        stale = FrontendPlan.load(entry)
+        stale = PLAN_STORE.read_npz(entry)
         stale.fingerprint = "0" * 12
         stale.mispredict = np.ones_like(stale.mispredict)  # obviously wrong
-        stale.save(entry)
+        PLAN_STORE.put(entry, stale)
 
         clear_plan_memo()
         rebuilt = cached_plan(trace, DEFAULT_MACHINE, "fdp")
@@ -414,7 +413,7 @@ class TestPlanCache:
         cached_plan(trace, DEFAULT_MACHINE, "fdp")
         (entry,) = plan_cache.glob("*.npz")
         with np.load(entry) as data:
-            assert int(data["format"]) == PLAN_FORMAT
+            assert json.loads(bytes(data["meta"]))["format"] == PLAN_FORMAT
 
 
 class TestPlanMmapSidecar:
@@ -433,7 +432,7 @@ class TestPlanMmapSidecar:
     def test_save_writes_sidecar_and_load_maps_arrays(self, mmap_plan_cache):
         trace = random_trace(1, n=800)
         fresh = cached_plan(trace, DEFAULT_MACHINE, "fdp")
-        sidecar = mmap_sidecar_path(self._entry(mmap_plan_cache))
+        sidecar = sidecar_path(self._entry(mmap_plan_cache))
         assert sidecar.is_dir()
         assert (sidecar / "meta.json").exists()
 
@@ -454,7 +453,7 @@ class TestPlanMmapSidecar:
     def test_corrupt_sidecar_falls_back_to_npz(self, mmap_plan_cache):
         trace = random_trace(2, n=800)
         fresh = cached_plan(trace, DEFAULT_MACHINE, "fdp")
-        sidecar = mmap_sidecar_path(self._entry(mmap_plan_cache))
+        sidecar = sidecar_path(self._entry(mmap_plan_cache))
         (sidecar / "cand_lo.npy").write_bytes(b"\x93NUMPY garbage")
 
         clear_plan_memo()
@@ -462,12 +461,13 @@ class TestPlanMmapSidecar:
         for name in PLAN_ARRAYS:
             assert np.array_equal(getattr(loaded, name), getattr(fresh, name))
         # The corrupt sidecar was discarded and repaired from the npz.
-        assert FrontendPlan.load_mmap(sidecar).fingerprint == fresh.fingerprint
+        entry = self._entry(mmap_plan_cache)
+        assert PLAN_STORE.read_sidecar(entry).fingerprint == fresh.fingerprint
 
     def test_truncated_array_is_rejected(self, mmap_plan_cache):
         trace = random_trace(3, n=800)
         fresh = cached_plan(trace, DEFAULT_MACHINE, "fdp")
-        sidecar = mmap_sidecar_path(self._entry(mmap_plan_cache))
+        sidecar = sidecar_path(self._entry(mmap_plan_cache))
         mis = sidecar / "mispredict.npy"
         mis.write_bytes(mis.read_bytes()[:-200])
 
@@ -478,7 +478,7 @@ class TestPlanMmapSidecar:
     def test_stale_sidecar_fingerprint_is_discarded(self, mmap_plan_cache):
         trace = random_trace(4, n=800)
         fresh = cached_plan(trace, DEFAULT_MACHINE, "fdp")
-        sidecar = mmap_sidecar_path(self._entry(mmap_plan_cache))
+        sidecar = sidecar_path(self._entry(mmap_plan_cache))
         meta_path = sidecar / "meta.json"
         meta = json.loads(meta_path.read_text())
         meta["fingerprint"] = "0" * 12
@@ -492,11 +492,9 @@ class TestPlanMmapSidecar:
         assert np.array_equal(loaded.mispredict, fresh.mispredict)
 
     def test_missing_sidecar_is_repaired_from_npz(self, mmap_plan_cache):
-        import shutil
-
         trace = random_trace(5, n=800)
         cached_plan(trace, DEFAULT_MACHINE, "fdp")
-        sidecar = mmap_sidecar_path(self._entry(mmap_plan_cache))
+        sidecar = sidecar_path(self._entry(mmap_plan_cache))
         shutil.rmtree(sidecar)
 
         clear_plan_memo()
@@ -511,7 +509,7 @@ class TestPlanMmapSidecar:
         """A crash between create and write leaves meta.json empty."""
         trace = random_trace(6, n=800)
         fresh = cached_plan(trace, DEFAULT_MACHINE, "fdp")
-        sidecar = mmap_sidecar_path(self._entry(mmap_plan_cache))
+        sidecar = sidecar_path(self._entry(mmap_plan_cache))
         (sidecar / "meta.json").write_bytes(b"")
 
         clear_plan_memo()
@@ -528,7 +526,7 @@ class TestPlanMmapSidecar:
     def test_missing_array_file_is_discarded_and_rebuilt(self, mmap_plan_cache):
         trace = random_trace(7, n=800)
         fresh = cached_plan(trace, DEFAULT_MACHINE, "fdp")
-        sidecar = mmap_sidecar_path(self._entry(mmap_plan_cache))
+        sidecar = sidecar_path(self._entry(mmap_plan_cache))
         (sidecar / "mispredict.npy").unlink()
 
         clear_plan_memo()
@@ -537,10 +535,10 @@ class TestPlanMmapSidecar:
             assert np.array_equal(getattr(loaded, name), getattr(fresh, name))
         assert (sidecar / "mispredict.npy").exists(), "sidecar was repaired"
 
-    def test_env_opt_out_loads_plain_arrays(self, mmap_plan_cache, monkeypatch):
+    def test_npz_fallback_loads_plain_arrays(self, mmap_plan_cache):
         trace = random_trace(6, n=800)
         cached_plan(trace, DEFAULT_MACHINE, "fdp")
-        monkeypatch.setenv("REPRO_PLAN_MMAP", "0")
+        shutil.rmtree(sidecar_path(self._entry(mmap_plan_cache)))
         clear_plan_memo()
         loaded = cached_plan(trace, DEFAULT_MACHINE, "fdp")
         assert not isinstance(loaded.mispredict, np.memmap)

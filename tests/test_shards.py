@@ -26,8 +26,8 @@ import numpy as np
 import pytest
 
 from repro.common import faults
-from repro.frontend.entangling_plan import EntanglingPlan, build_entangling_plan
-from repro.frontend.plan import FrontendPlan, build_plan, mmap_sidecar_path
+from repro.frontend.entangling_plan import ENTANGLING_PLAN_STORE, build_entangling_plan
+from repro.frontend.plan import PLAN_STORE, build_plan
 from repro.harness.experiment import run_experiment
 from repro.harness.runner import Runner
 from repro.harness.schemes import SchemeContext, available_schemes, make_scheme
@@ -492,11 +492,8 @@ class TestFrontendPlanSlice:
     def test_roundtrip_npz_and_mmap(self, plan, tmp_path):
         s = plan.slice(self.LO, self.HI)
         path = tmp_path / "w.npz"
-        s.save(path)
-        for loaded in (
-            FrontendPlan.load(path),
-            FrontendPlan.load_mmap(mmap_sidecar_path(path)),
-        ):
+        PLAN_STORE.put(path, s)
+        for loaded in (PLAN_STORE.read_npz(path), PLAN_STORE.read_sidecar(path)):
             assert loaded.fingerprint == s.fingerprint
             assert loaded.warmup_end == s.warmup_end
             assert (loaded.cum_mispredict == s.cum_mispredict).all()
@@ -538,10 +535,10 @@ class TestEntanglingPlanSlice:
     def test_roundtrip_npz_and_mmap(self, eplan, tmp_path):
         s = eplan.slice(self.LO, self.HI)
         path = tmp_path / "w.ent.npz"
-        s.save(path)
+        ENTANGLING_PLAN_STORE.put(path, s)
         for loaded in (
-            EntanglingPlan.load(path, s.base),
-            EntanglingPlan.load_mmap(mmap_sidecar_path(path), s.base),
+            ENTANGLING_PLAN_STORE.read_npz(path),
+            ENTANGLING_PLAN_STORE.read_sidecar(path),
         ):
             assert (loaded.cand_blocks == s.cand_blocks).all()
             assert (loaded.miss_rec == s.miss_rec).all()

@@ -6,7 +6,7 @@ so resident sweep workers share one page cache per workload.  A sidecar
 is only trusted while the ``.npz`` it was derived from still matches
 the size/sha1 recorded in its ``meta.json``; anything corrupt, stale or
 truncated is discarded and rebuilt from the npz without ever producing
-wrong arrays.  ``REPRO_TRACE_MMAP=0`` opts out (plain npz loads).
+wrong arrays.  Without a sidecar the npz serves plain arrays.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ import shutil
 import numpy as np
 import pytest
 
+from repro.common.artifacts import sidecar_path
 from repro.workloads.profiles import get_workload
 from repro.workloads.trace import (
+    TRACE_STORE,
     Trace,
-    mmap_sidecar_path,
     trace_cache_dir,
     validate_trace,
 )
@@ -31,9 +32,8 @@ WORKLOAD = "x264"
 
 @pytest.fixture()
 def trace_cache(tmp_path, monkeypatch):
-    """Isolated trace cache with mmap sidecar reads enabled."""
+    """Isolated trace cache."""
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
-    monkeypatch.delenv("REPRO_TRACE_MMAP", raising=False)
     return tmp_path
 
 
@@ -50,7 +50,7 @@ class TestTraceMmapSidecar:
     def test_save_writes_sidecar_and_cache_load_maps_arrays(self, trace_cache):
         fresh = _build()
         npz = _entry(trace_cache)
-        sidecar = mmap_sidecar_path(npz)
+        sidecar = sidecar_path(npz)
         assert sidecar.is_dir()
         meta = json.loads((sidecar / "meta.json").read_text())
         assert meta["records"] == len(fresh)
@@ -67,7 +67,7 @@ class TestTraceMmapSidecar:
 
     def test_corrupt_sidecar_falls_back_to_npz_and_repairs(self, trace_cache):
         fresh = _build()
-        sidecar = mmap_sidecar_path(_entry(trace_cache))
+        sidecar = sidecar_path(_entry(trace_cache))
         (sidecar / "blocks.npy").write_bytes(b"\x93NUMPY garbage")
 
         loaded = _build()
@@ -78,7 +78,7 @@ class TestTraceMmapSidecar:
 
     def test_truncated_array_is_rejected(self, trace_cache):
         fresh = _build()
-        sidecar = mmap_sidecar_path(_entry(trace_cache))
+        sidecar = sidecar_path(_entry(trace_cache))
         blocks = sidecar / "blocks.npy"
         truncated = np.load(blocks)[: RECORDS // 2]
         np.save(blocks, truncated)
@@ -90,7 +90,7 @@ class TestTraceMmapSidecar:
     def test_stale_sidecar_is_discarded_when_npz_changes(self, trace_cache):
         fresh = _build()
         npz = _entry(trace_cache)
-        sidecar = mmap_sidecar_path(npz)
+        sidecar = sidecar_path(npz)
         # Regenerate the npz with different content under the same key
         # (as a generator change across versions would) while leaving
         # the old sidecar in place.
@@ -104,7 +104,7 @@ class TestTraceMmapSidecar:
         )
         stale = sidecar.with_name("stale-keep")
         shutil.copytree(sidecar, stale)
-        different.save(npz)
+        TRACE_STORE.put(npz, different)
         shutil.rmtree(sidecar)
         shutil.copytree(stale, sidecar)  # plant the stale sidecar back
 
@@ -115,7 +115,7 @@ class TestTraceMmapSidecar:
     def test_zero_byte_meta_is_discarded_and_rebuilt(self, trace_cache):
         """A crash between create and write leaves meta.json empty."""
         fresh = _build()
-        sidecar = mmap_sidecar_path(_entry(trace_cache))
+        sidecar = sidecar_path(_entry(trace_cache))
         (sidecar / "meta.json").write_bytes(b"")
 
         loaded = _build()
@@ -126,7 +126,7 @@ class TestTraceMmapSidecar:
 
     def test_missing_array_file_is_discarded_and_rebuilt(self, trace_cache):
         fresh = _build()
-        sidecar = mmap_sidecar_path(_entry(trace_cache))
+        sidecar = sidecar_path(_entry(trace_cache))
         (sidecar / "blocks.npy").unlink()
 
         loaded = _build()
@@ -136,7 +136,7 @@ class TestTraceMmapSidecar:
 
     def test_missing_sidecar_is_repaired_from_npz(self, trace_cache):
         fresh = _build()
-        sidecar = mmap_sidecar_path(_entry(trace_cache))
+        sidecar = sidecar_path(_entry(trace_cache))
         shutil.rmtree(sidecar)
 
         loaded = _build()
@@ -144,9 +144,9 @@ class TestTraceMmapSidecar:
         assert sidecar.is_dir()
         assert isinstance(_build().blocks, np.memmap)
 
-    def test_env_opt_out_loads_plain_arrays(self, trace_cache, monkeypatch):
+    def test_npz_fallback_loads_plain_arrays(self, trace_cache):
         fresh = _build()
-        monkeypatch.setenv("REPRO_TRACE_MMAP", "0")
+        shutil.rmtree(sidecar_path(_entry(trace_cache)))
         loaded = _build()
         assert not isinstance(loaded.blocks, np.memmap)
         assert np.array_equal(loaded.blocks, fresh.blocks)

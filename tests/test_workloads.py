@@ -16,7 +16,7 @@ from repro.workloads.program import (
     build_program,
     return_site,
 )
-from repro.workloads.trace import BranchKind, Trace, validate_trace
+from repro.workloads.trace import TRACE_STORE, BranchKind, Trace, validate_trace
 
 SHAPE = ProgramShape(
     hot_functions=8,
@@ -179,8 +179,8 @@ class TestTraceContainer:
         program = build_program(SHAPE, seed=1)
         trace = generate_trace(program, WALK, seed=2, name="roundtrip")
         path = tmp_path / "trace.npz"
-        trace.save(path)
-        loaded = Trace.load(path)
+        TRACE_STORE.put(path, trace)
+        loaded = TRACE_STORE.read_npz(path)
         assert loaded.name == "roundtrip"
         assert np.array_equal(loaded.blocks, trace.blocks)
         assert np.array_equal(loaded.branch_site, trace.branch_site)
