@@ -17,6 +17,10 @@ satisfy the gate, so deleting a table row fails CI even while the
 variable is still discussed elsewhere.  Table rows naming a variable
 that no longer appears anywhere in ``src/`` fail the gate as well, so
 stale rows can't linger after a knob is removed.
+
+The gate also caps the number of distinct variables at
+:data:`MAX_KNOBS`.  The cap is a constant, not a flag: a new knob has
+to retire another one, or its PR has to argue for raising the cap.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ ENV_RE = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
 #: A reference-table row: first cell is a backticked `REPRO_*` variable
 #: (possibly with =value inside the backticks).
 TABLE_ROW_RE = re.compile(r"^\|\s*`(REPRO_[A-Z0-9_]+)[^`]*`\s*\|", re.MULTILINE)
+#: Most distinct ``REPRO_*`` names ``src/`` may mention.
+MAX_KNOBS = 17
 
 
 def vars_in_source() -> dict[str, list[str]]:
@@ -70,6 +76,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     problems: list[str] = []
+    if len(source) > MAX_KNOBS:
+        problems.append(
+            f"{len(source)} distinct REPRO_* variables in src/, more than "
+            f"the ceiling of {MAX_KNOBS}; retire a knob before adding one"
+        )
     for name in sorted(source):
         if name not in documented:
             problems.append(
@@ -88,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print(
         f"env docs fresh: {len(source)} REPRO_* variables in src/ "
-        "all documented in README.md (and none stale)"
+        f"(ceiling {MAX_KNOBS}) all documented in README.md (and none stale)"
     )
     return 0
 

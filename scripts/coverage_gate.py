@@ -16,7 +16,7 @@ aggregate executed-line fraction of any target directory — by default
 and ``src/repro/common`` — drops below the floor.  CI runs this after the
 tier-1 suite so a PR cannot silently orphan the MSHR/hierarchy/policy,
 i-Filter/CSHR/predictor/controller, branch-stack/FDP/entangling/plan,
-or runner/checkpoint/fault-recovery code paths the differential
+or runner/shard-ledger/fault-recovery code paths the differential
 harnesses exist to pin.  (Sweep-worker bodies run in forked pool
 processes the stdlib tracer cannot see; their lines are the main
 untraced remainder in ``harness``.)

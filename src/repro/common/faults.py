@@ -9,7 +9,7 @@ grammar is::
     REPRO_FAULT="site:kind@n[,site:kind@n...]"
 
 where ``site`` names an instrumented hook point (``worker``,
-``checkpoint``, ``sidecar``, ``npz``, ``shard``; ``npz`` and
+``sidecar``, ``npz``, ``shard``; ``npz`` and
 ``sidecar`` fire after the artifact store commits any kind's ``.npz``
 or sidecar ``meta.json``, ``shard`` after a shard-ledger boundary
 commit, path = the boundary state file),
@@ -49,7 +49,7 @@ from typing import Dict, Optional, Tuple
 HANG_SECONDS = 60.0
 
 KINDS = ("kill", "raise", "hang", "truncate", "stale")
-SITES = ("worker", "checkpoint", "sidecar", "npz", "shard")
+SITES = ("worker", "sidecar", "npz", "shard")
 
 #: Bytes ``stale`` faults plant: valid-looking JSON with a fingerprint
 #: no live run can produce, so staleness checks must reject it.

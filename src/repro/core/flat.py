@@ -23,9 +23,7 @@ registry's frozen-``train`` variant — without touching this module.
 
 ``controller.py`` remains the readable reference;
 ``tests/test_acic_differential.py`` locks this implementation to it over
-randomized schedules and the full registered-variant grid.  Set
-``REPRO_FLAT_ACIC=0`` to make the scheme registry build the naive
-controller instead (debugging; scalars are identical either way).
+randomized schedules and the full registered-variant grid.
 """
 
 from __future__ import annotations

@@ -6,20 +6,16 @@ machinery in :mod:`repro.harness.runner` builds on it with caching.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.frontend.entangling import EntanglingPrefetcher
-from repro.frontend.entangling_plan import (
-    ENTANGLING_REFERENCE_SCHEME,
-    cached_entangling_plan,
-    entangling_plan_mode,
-)
+from repro.frontend.entangling_plan import cached_entangling_plan
 from repro.frontend.fdp import FetchDirectedPrefetcher, NullPrefetcher
 from repro.frontend.plan import cached_plan, plannable
 from repro.frontend.stack import BranchStack
-from repro.harness.checkpoint import checkpoint_every, store_for
 from repro.harness.schemes import SchemeContext, make_scheme
 from repro.harness import shards
 from repro.uarch.params import DEFAULT_MACHINE, MachineParams
@@ -30,11 +26,6 @@ from repro.workloads.trace import Trace
 PREFETCHERS = ("fdp", "entangling", "none")
 
 
-def _plans_enabled() -> bool:
-    """Plan-driven simulation is on unless REPRO_NO_PLAN=1 (debugging)."""
-    return os.environ.get("REPRO_NO_PLAN", "") != "1"
-
-
 def scaled_records(records: Optional[int] = None) -> int:
     """Resolve the trace length: explicit > REPRO_SCALE * default."""
     from repro.workloads.profiles import DEFAULT_RECORDS
@@ -42,8 +33,8 @@ def scaled_records(records: Optional[int] = None) -> int:
     if records is not None:
         return records
     scale = float(os.environ.get("REPRO_SCALE", "1.0"))
-    if scale <= 0:
-        raise ValueError(f"REPRO_SCALE must be positive, got {scale}")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"REPRO_SCALE must be positive and finite, got {scale}")
     return max(1000, int(DEFAULT_RECORDS * scale))
 
 
@@ -87,7 +78,7 @@ def run_experiment(
     records: Optional[int] = None,
     machine: Optional[MachineParams] = None,
     context: Optional[SchemeContext] = None,
-    use_plan: Optional[bool] = None,
+    use_plan: bool = True,
     shard_window: Optional[int] = None,
     on_shard=None,
     should_stop=None,
@@ -102,10 +93,9 @@ def run_experiment(
     (:mod:`repro.harness.shards`): the engine checkpoints at every
     window boundary, each boundary persists before the next window
     starts, and an interrupted run resumes from the last verified
-    boundary.  When a window is set it takes precedence over
-    ``REPRO_CHECKPOINT_EVERY``.  ``on_shard(shard, done, total)`` fires
-    after each boundary commits; ``should_stop()`` is polled at each
-    boundary and, when true, stops the run with
+    boundary.  ``on_shard(shard, done, total)`` fires after each
+    boundary commits; ``should_stop()`` is polled at each boundary and,
+    when true, stops the run with
     :class:`~repro.harness.shards.DrainRequested` (ledger kept — the
     graceful-drain path).
 
@@ -114,16 +104,12 @@ def run_experiment(
     frontend work is done once per (workload, frontend config) and
     shared by every scheme; the result is bit-identical to the live
     path.  Entangling runs consume a *scheme-coupled*
-    :class:`~repro.frontend.entangling_plan.EntanglingPlan` instead:
-    in ``exact`` mode (the default) the plan is recorded under the very
-    scheme being run — a cold run is the recording pass itself (one
-    live simulation, exactly the pre-plan cost) and warm runs replay it
-    bit-identically; ``REPRO_ENTANGLING_PLAN=approx`` replays one
-    reference-scheme stream for every scheme (documented approximation,
-    cached under separate result keys); ``REPRO_ENTANGLING_PLAN=off``
-    restores the always-live behaviour.  ``use_plan=False`` (or
-    ``REPRO_NO_PLAN=1``) forces the live stack/prefetcher path for
-    every prefetcher.
+    :class:`~repro.frontend.entangling_plan.EntanglingPlan` instead,
+    recorded under the very scheme being run: a cold run is the
+    recording pass itself (one live simulation, exactly the pre-plan
+    cost) and warm runs replay it bit-identically.  ``use_plan=False``
+    forces the live stack/prefetcher path for every prefetcher — the
+    reference the plan-driven paths are tested against.
     """
     machine = machine or DEFAULT_MACHINE
     records = scaled_records(records)
@@ -132,56 +118,20 @@ def run_experiment(
         context = SchemeContext(trace=trace, machine=machine)
     trace = context.trace
     scheme_obj = make_scheme(scheme, context)
-    if use_plan is None:
-        use_plan = _plans_enabled()
-
     window = shards.shard_window() if shard_window is None else int(shard_window)
-    every = checkpoint_every()
 
     def _sim(mode: str, **kwargs):
-        """Run ``simulate``, windowed through a ledger/store when on.
+        """Run ``simulate``, windowed through a shard ledger when on.
 
-        Sharding (``window > 0``) wins over plain checkpointing: the
-        run executes window-by-window through a shard ledger that
-        persists every boundary (see :mod:`repro.harness.shards`) and
-        honours ``on_shard``/``should_stop``.  Otherwise, with
-        REPRO_CHECKPOINT_EVERY set, the engine resumes from the newest
-        valid checkpoint for this exact run identity, snapshots every
-        ``every`` records, and drops the file once the run completes.
-        Both paths are pinned bit-identical to a single pass
-        (``tests/test_shards.py``, ``tests/test_checkpoint.py``).
+        With ``window > 0`` the run executes window-by-window through a
+        ledger that persists every boundary (see
+        :mod:`repro.harness.shards`) and honours
+        ``on_shard``/``should_stop``; ``tests/test_shards.py`` pins it
+        bit-identical to a single pass.
         """
-        if window > 0:
-            ledger = shards.ledger_for(
-                workload,
-                scheme,
-                prefetcher,
-                records,
-                machine.fingerprint(),
-                trace.digest,
-                mode,
-                window,
-            )
-            return shards.run_windowed(
-                lambda state, on_ckpt: simulate(
-                    trace,
-                    scheme_obj,
-                    machine=machine,
-                    resume=state,
-                    checkpoint_every=window,
-                    on_checkpoint=on_ckpt,
-                    **kwargs,
-                ),
-                ledger=ledger,
-                window=window,
-                total=len(trace),
-                label=f"{workload}/{scheme}",
-                on_shard=on_shard,
-                should_stop=should_stop,
-            )
-        if every <= 0:
+        if window <= 0:
             return simulate(trace, scheme_obj, machine=machine, **kwargs)
-        store = store_for(
+        ledger = shards.ledger_for(
             workload,
             scheme,
             prefetcher,
@@ -189,47 +139,42 @@ def run_experiment(
             machine.fingerprint(),
             trace.digest,
             mode,
+            window,
         )
-        run = simulate(
-            trace,
-            scheme_obj,
-            machine=machine,
-            resume=store.load(),
-            checkpoint_every=every,
-            on_checkpoint=store.write,
-            **kwargs,
+        return shards.run_windowed(
+            lambda state, on_ckpt: simulate(
+                trace,
+                scheme_obj,
+                machine=machine,
+                resume=state,
+                checkpoint_every=window,
+                on_checkpoint=on_ckpt,
+                **kwargs,
+            ),
+            ledger=ledger,
+            window=window,
+            total=len(trace),
+            label=f"{workload}/{scheme}",
+            on_shard=on_shard,
+            should_stop=should_stop,
         )
-        store.clear()
-        return run
 
     if use_plan and plannable(prefetcher):
         plan = cached_plan(trace, machine, prefetcher)
         run = _sim("planned", plan=plan)
-    elif (
-        use_plan
-        and prefetcher == "entangling"
-        and entangling_plan_mode() != "off"
-    ):
-        reference = (
-            scheme
-            if entangling_plan_mode() == "exact"
-            else ENTANGLING_REFERENCE_SCHEME
-        )
+    elif use_plan and prefetcher == "entangling":
         plan, fresh = cached_entangling_plan(
-            trace,
-            machine,
-            reference,
-            (lambda: scheme_obj)
-            if reference == scheme
-            else (lambda: make_scheme(reference, context)),
+            trace, machine, scheme, lambda: scheme_obj
         )
-        if fresh is not None and reference == scheme:
+        if fresh is not None:
             # Pass 1 doubles as this run.  The recording pass is driven
             # by the plan builder, not by us, so it is never windowed —
-            # checkpointing covers its replays.
+            # shard windows cover its replays.
             run = fresh
         else:
-            run = _sim(f"planned-{entangling_plan_mode()}", plan=plan)
+            # "planned-exact" is the historical mode name, kept so the
+            # ledgers of interrupted replays still resume.
+            run = _sim("planned-exact", plan=plan)
     else:
         stack = BranchStack(trace)
         prefetcher_obj = build_prefetcher(prefetcher, trace, stack, machine)

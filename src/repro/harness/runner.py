@@ -8,9 +8,6 @@ the LRU/OPT baselines.  The runner caches:
 * **on disk** — the scalar measurements as JSON under
   ``.cache/results``, keyed by (workload, scheme, prefetcher, records,
   machine fingerprint), so separate pytest invocations don't resimulate.
-  Approximate entangling-plan runs (``REPRO_ENTANGLING_PLAN=approx``)
-  key their entries under ``entangling-approx`` so they can never be
-  mistaken for exact results.
 
 Set ``REPRO_NO_DISK_CACHE=1`` to disable the disk layer (tests do).
 
@@ -32,15 +29,13 @@ workload resident.
 
 Prewarming: before forking, the parent builds (and disk-caches) every
 pending workload's trace and frontend plan, so workers mmap sidecars
-instead of racing to redo the same work N times.  In approx entangling
-mode the parent also records each workload's *reference* entangling
-stream once — that single training run is what every scheme in the
-sweep then replays.
+instead of racing to redo the same work N times.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -52,19 +47,10 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.common import faults
-from repro.frontend.entangling_plan import (
-    ENTANGLING_REFERENCE_SCHEME,
-    cached_entangling_plan,
-    entangling_plan_mode,
-)
 from repro.frontend.plan import cached_plan, plannable
-from repro.harness.experiment import _plans_enabled, run_experiment, scaled_records
-from repro.harness.schemes import SchemeContext, flat_policies_enabled, make_scheme
-from repro.mem.prepass import (
-    PREPASS_SCHEMES,
-    cached_replacement_prepass,
-    prepass_enabled,
-)
+from repro.harness.experiment import run_experiment, scaled_records
+from repro.harness.schemes import SchemeContext
+from repro.mem.prepass import PREPASS_SCHEMES, cached_replacement_prepass
 from repro.uarch.params import DEFAULT_MACHINE, MachineParams
 from repro.uarch.timing import RunResult
 from repro.workloads.profiles import get_workload
@@ -112,8 +98,10 @@ def _sweep_timeout() -> float:
     if not env:
         return 0.0
     seconds = float(env)
-    if seconds < 0:
-        raise ValueError(f"REPRO_SWEEP_TIMEOUT must be >= 0, got {seconds}")
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise ValueError(
+            f"REPRO_SWEEP_TIMEOUT must be finite and >= 0, got {seconds}"
+        )
     return seconds
 
 
@@ -333,29 +321,12 @@ class Runner:
     # -- caching ------------------------------------------------------------
 
     def _key(self, workload: str, scheme: str) -> Tuple[str, str, str]:
-        # The prefetcher key participates so a mode flip mid-process
-        # (REPRO_ENTANGLING_PLAN toggled between calls) can never serve
-        # an approx result as exact from the in-memory layer either.
-        return (workload, scheme, self._prefetcher_cache_key())
-
-    def _prefetcher_cache_key(self) -> str:
-        """The prefetcher component of result cache keys (both layers).
-
-        Approximate entangling replays produce *different* scalars than
-        exact/live runs of the same pair, so they get their own key —
-        an approx sweep can never poison (or be served) exact entries.
-        """
-        if (
-            self.prefetcher == "entangling"
-            and entangling_plan_mode() == "approx"
-        ):
-            return "entangling-approx"
-        return self.prefetcher
+        return (workload, scheme, self.prefetcher)
 
     def _disk_path(self, workload: str, scheme: str) -> Path:
         fingerprint = self.machine.fingerprint()
         name = (
-            f"{workload}.{scheme}.{self._prefetcher_cache_key()}"
+            f"{workload}.{scheme}.{self.prefetcher}"
             f".r{self.records}.{fingerprint}.json"
         )
         return _results_dir() / name
@@ -430,11 +401,9 @@ class Runner:
         Building a context also prewarms the workload's frontend plan
         (memo + ``.npz`` cache), so every scheme simulated against this
         workload — in this process or in sweep workers — shares one
-        branch-stack/FDP replay instead of redoing it per pair.  In
-        approx entangling mode the reference scheme's training stream
-        is recorded here too (one live run per workload), for the same
-        reason; in exact mode plans are per-scheme, so workers record
-        their own as pairs come up.
+        branch-stack/FDP replay instead of redoing it per pair.
+        Entangling plans are per-scheme, so workers record their own as
+        pairs come up.
 
         At most ``REPRO_CONTEXT_CACHE`` contexts stay resident; the
         least-recently-used one is dropped beyond that.  Eviction is
@@ -450,19 +419,8 @@ class Runner:
                 return ctx
             trace = get_workload(workload).trace(records=self.records)
             ctx = SchemeContext(trace=trace, machine=self.machine)
-            if _plans_enabled():
-                if plannable(self.prefetcher):
-                    cached_plan(trace, self.machine, self.prefetcher)
-                elif (
-                    self.prefetcher == "entangling"
-                    and entangling_plan_mode() == "approx"
-                ):
-                    cached_entangling_plan(
-                        trace,
-                        self.machine,
-                        ENTANGLING_REFERENCE_SCHEME,
-                        lambda: make_scheme(ENTANGLING_REFERENCE_SCHEME, ctx),
-                    )
+            if plannable(self.prefetcher):
+                cached_plan(trace, self.machine, self.prefetcher)
             self._contexts[workload] = ctx
             cap = _context_cache_cap()
             while len(self._contexts) > cap:
@@ -550,7 +508,7 @@ class Runner:
     def _journal_prefix(self) -> str:
         """Journal filename prefix shared by every sweep of this config."""
         return (
-            f"sweep.{self._prefetcher_cache_key()}.r{self.records}"
+            f"sweep.{self.prefetcher}.r{self.records}"
             f".{self.machine.fingerprint()}"
         )
 
@@ -647,9 +605,9 @@ class Runner:
         configuration, replays them all into the caches first, and
         deletes them once this sweep completes, so only genuinely
         unfinished pairs are resimulated — combined with
-        ``REPRO_CHECKPOINT_EVERY``, even a pair that died mid-run
-        restarts from its last engine checkpoint.  This call's own
-        journal is deleted when it completes.
+        ``REPRO_SHARD_WINDOW``, even a pair that died mid-run restarts
+        from its last shard boundary.  This call's own journal is
+        deleted when it completes.
 
         With sharded execution on (``REPRO_SHARD_WINDOW``), the serial
         path additionally honours ``on_shard`` (per-boundary progress,
@@ -694,12 +652,7 @@ class Runner:
             # generation and branch-stack/FDP replay N times.  Same for
             # the replacement pre-pass of workloads with pending
             # pre-pass-consuming pairs (ghrp/harmony flat twins).
-            if flat_policies_enabled() and prepass_enabled():
-                prepass_workloads = {
-                    w for w, s in pending if s in PREPASS_SCHEMES
-                }
-            else:
-                prepass_workloads = set()
+            prepass_workloads = {w for w, s in pending if s in PREPASS_SCHEMES}
             for workload in sorted({w for w, _ in pending}):
                 ctx = self.context_for(workload)
                 if workload in prepass_workloads:

@@ -27,12 +27,11 @@ The ledger is two kinds of file under ``<results cache>/shards/``:
   correctness.
 
 :func:`ShardLedger.latest` walks the ledger backwards past anything
-corrupt, stale, or carrying a foreign fingerprint — like engine
-checkpoints, a ledger entry is a shortcut, never a correctness
-dependency.  The fingerprint reuses the checkpoint identity
-(:func:`repro.harness.checkpoint.run_fingerprint`) with the window size
-folded in, so a ledger can never resume a run it does not exactly
-describe.
+corrupt, stale, or carrying a foreign fingerprint — a ledger entry is a
+shortcut, never a correctness dependency.  The fingerprint is the run
+identity (:func:`run_fingerprint`) with the window size folded in, so a
+ledger can never resume a run it does not exactly describe.  The ledger
+is the harness's one engine-resume path.
 
 **Drain**: ``should_stop`` is polled at each boundary *after* the
 ledger write; when it reports true, :func:`run_windowed` raises
@@ -58,7 +57,6 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from repro.common.faults import fire
-from repro.harness.checkpoint import run_fingerprint
 
 #: Bump when the ledger entry or state layout changes; older files are
 #: discarded (the run restarts from record 0 — a cost, not a bug).
@@ -95,12 +93,7 @@ class DrainRequested(RuntimeError):
 
 
 def shard_window() -> int:
-    """Records per shard window (REPRO_SHARD_WINDOW, 0 = off).
-
-    When positive it takes precedence over ``REPRO_CHECKPOINT_EVERY``:
-    sharding *is* windowed checkpointing, with the ledger replacing the
-    single-file checkpoint store.
-    """
+    """Records per shard window (REPRO_SHARD_WINDOW, 0 = off)."""
     env = os.environ.get("REPRO_SHARD_WINDOW", "").strip()
     if not env:
         return 0
@@ -113,7 +106,8 @@ def shard_window() -> int:
 def shards_dir() -> Path:
     """Shard-ledger directory, beside the results cache.
 
-    Honours ``REPRO_RESULT_CACHE`` exactly as the checkpoint store does.
+    Honours ``REPRO_RESULT_CACHE`` exactly as the sweep runner's results
+    directory does (kept inline to stay import-cycle-free with it).
     """
     env = os.environ.get("REPRO_RESULT_CACHE")
     if env:
@@ -286,6 +280,38 @@ class ShardLedger:
             path.unlink(missing_ok=True)
 
 
+def run_fingerprint(
+    workload: str,
+    scheme: str,
+    prefetcher_key: str,
+    records: int,
+    machine_fingerprint: str,
+    trace_digest: str,
+    mode: str,
+) -> str:
+    """Identity of one resumable run; any ingredient change invalidates.
+
+    ``mode`` distinguishes the live and planned engine paths (their
+    states are not interchangeable).  The trace digest ties a boundary
+    state to the exact record stream it was captured from.  The
+    ``ckpt1`` prefix is part of the hashed text, so it stays as it is:
+    changing it would orphan every ledger already on disk.
+    """
+    text = "|".join(
+        (
+            "ckpt1",
+            workload,
+            scheme,
+            prefetcher_key,
+            str(records),
+            machine_fingerprint,
+            trace_digest,
+            mode,
+        )
+    )
+    return hashlib.sha1(text.encode()).hexdigest()[:16]
+
+
 def ledger_for(
     workload: str,
     scheme: str,
@@ -298,7 +324,7 @@ def ledger_for(
 ) -> ShardLedger:
     """The shard ledger for one windowed run identity.
 
-    Identity is the checkpoint fingerprint with the window size folded
+    Identity is the run fingerprint with the window size folded
     into the mode component: a boundary state is mathematically valid
     for any cadence, but tying it to the window keeps resume behaviour
     (which boundary you land on) reproducible across crashes.

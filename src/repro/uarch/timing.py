@@ -144,8 +144,8 @@ def simulate(
       :class:`~repro.frontend.plan.FrontendPlan` (fdp/none, always
       bit-identical to live) or
       :class:`~repro.frontend.entangling_plan.EntanglingPlan`
-      (bit-identical when replayed for its reference scheme; documented
-      approximation across schemes) and the engine reads mispredict
+      (bit-identical when replayed for the scheme it was recorded
+      under) and the engine reads mispredict
       flags and candidate spans from flat arrays, touching no
       branch-stack or prefetcher code at all.
 

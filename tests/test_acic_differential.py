@@ -14,9 +14,10 @@ require bit-for-bit agreement —
   tiny geometries;
 * :class:`~repro.core.cshr.FlatCSHR` against :class:`CSHR` directly;
 * full plan-driven ``simulate()`` runs of every registered ``acic-*``
-  variant on a 20k-record grid, flat vs naive (via the registry's
-  ``REPRO_FLAT_ACIC=0`` hook), comparing RunResult scalars *and* every
-  observable scheme statistic.
+  variant on a 20k-record grid, flat vs naive (the registry's
+  ``FlatACICScheme`` binding monkeypatched to the naive controller, so
+  each variant keeps its wiring), comparing RunResult scalars *and*
+  every observable scheme statistic.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.core.predictor import (
     GlobalHistoryAdmissionPredictor,
     TwoLevelAdmissionPredictor,
 )
+from repro.harness import schemes
 from repro.harness.schemes import SchemeContext, available_schemes, make_scheme
 from repro.mem.cache import CacheConfig
 from repro.mem.oracle import NextUseOracle
@@ -310,7 +312,7 @@ class TestRegisteredVariants20k:
 
         plan = cached_plan(grid_trace, DEFAULT_MACHINE, "fdp")
 
-        monkeypatch.setenv("REPRO_FLAT_ACIC", "0")
+        monkeypatch.setattr(schemes, "FlatACICScheme", ACICScheme)
         ctx = SchemeContext(trace=grid_trace, machine=DEFAULT_MACHINE)
         naive_scheme = make_scheme(name, ctx)
         assert isinstance(naive_scheme, ACICScheme)
@@ -318,7 +320,7 @@ class TestRegisteredVariants20k:
             grid_trace, naive_scheme, machine=DEFAULT_MACHINE, plan=plan
         )
 
-        monkeypatch.delenv("REPRO_FLAT_ACIC")
+        monkeypatch.undo()
         ctx = SchemeContext(trace=grid_trace, machine=DEFAULT_MACHINE)
         flat_scheme = make_scheme(name, ctx)
         assert isinstance(flat_scheme, FlatACICScheme)

@@ -20,14 +20,19 @@ import pytest
 
 from repro.common import faults
 from repro.common.artifacts import sidecar_path
-from repro.harness.checkpoint import CheckpointStore, run_fingerprint
 from repro.harness.faults import (
     FaultInjected,
     FaultPlan,
     STALE_BYTES,
     fire,
 )
-from repro.harness.runner import _SCALAR_FIELDS, Runner, _SweepJournal
+from repro.harness.runner import (
+    _SCALAR_FIELDS,
+    Runner,
+    _SweepJournal,
+    _sweep_timeout,
+)
+from repro.harness.shards import ShardLedger
 from repro.uarch.timing import RunResult
 from repro.workloads.profiles import get_workload
 
@@ -75,15 +80,16 @@ def _expected():
 
 class TestSpecParsing:
     def test_grammar(self):
-        plan = FaultPlan("worker:kill@3, checkpoint:truncate")
+        plan = FaultPlan("worker:kill@3, shard:truncate")
         assert plan.faults == {
             "worker": ("kill", 3),
-            "checkpoint": ("truncate", 1),
+            "shard": ("truncate", 1),
         }
 
     @pytest.mark.parametrize(
         "spec",
-        ["nowhere:kill", "worker:explode", "worker:kill@0", "worker:kill@x"],
+        ["nowhere:kill", "worker:explode", "worker:kill@0", "worker:kill@x",
+         "checkpoint:truncate"],
     )
     def test_invalid_specs_raise(self, spec):
         with pytest.raises(ValueError):
@@ -131,6 +137,14 @@ class TestSupervisedSweepRecovery:
         runner = Runner(records=RECORDS, use_disk_cache=False)
         results = runner.sweep(WORKLOADS, SCHEMES, jobs=2)
         assert {k: _scalars(v) for k, v in results.items()} == expected
+
+    @pytest.mark.parametrize("raw", ["-1", "nan", "inf", "-inf"])
+    def test_invalid_timeout_rejected(self, raw, monkeypatch):
+        """A NaN deadline would declare every pool hung at once; an
+        infinite one overflows ``wait``.  Both are refused up front."""
+        monkeypatch.setenv("REPRO_SWEEP_TIMEOUT", raw)
+        with pytest.raises(ValueError, match="REPRO_SWEEP_TIMEOUT"):
+            _sweep_timeout()
 
     def test_hung_pool_trips_progress_deadline(self, fault_env, monkeypatch):
         expected = _expected()
@@ -289,26 +303,35 @@ class TestJournalResume:
 class TestFileMangleFaults:
     """truncate/stale faults at the write hooks; readers must recover."""
 
-    def test_checkpoint_truncate_discarded(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT", "checkpoint:truncate@1")
+    def _ledger_after_fault(self, tmp_path, monkeypatch, spec):
+        """Two shard boundaries committed with ``spec`` armed."""
+        monkeypatch.setenv("REPRO_FAULT", spec)
         monkeypatch.delenv("REPRO_FAULT_ONCE", raising=False)
         faults.reset()
-        fp = run_fingerprint("w", "s", "fdp", 100, "m", "d", "planned")
-        store = CheckpointStore(tmp_path / "run.ckpt", fp)
-        store.write({"mode": "planned", "bulk": list(range(2000))})
-        # The fault chopped the committed file in half behind the rename.
-        assert store.load() is None
-        assert not store.path.exists()
+        ledger = ShardLedger(tmp_path, "w.s.fp", "fp", 100)
+        for next_record in (100, 200):
+            ledger.record(
+                {"next_record": next_record, "bulk": list(range(2000))}
+            )
+        ledger.close()
+        return ledger, tmp_path / "w.s.fp.s2.state"
+
+    def test_checkpoint_truncate_discarded(self, tmp_path, monkeypatch):
+        ledger, newest = self._ledger_after_fault(
+            tmp_path, monkeypatch, "shard:truncate@2"
+        )
+        # The fault chopped the committed boundary state behind the
+        # rename; the ledger falls back to the previous boundary.
+        previous = tmp_path / "w.s.fp.s1.state"
+        assert newest.stat().st_size < previous.stat().st_size
+        assert ledger.latest()["next_record"] == 100
 
     def test_checkpoint_stale_discarded(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT", "checkpoint:stale@1")
-        monkeypatch.delenv("REPRO_FAULT_ONCE", raising=False)
-        faults.reset()
-        fp = run_fingerprint("w", "s", "fdp", 100, "m", "d", "planned")
-        store = CheckpointStore(tmp_path / "run.ckpt", fp)
-        store.write({"mode": "planned"})
-        assert store.path.read_bytes() == STALE_BYTES
-        assert store.load() is None
+        ledger, newest = self._ledger_after_fault(
+            tmp_path, monkeypatch, "shard:stale@2"
+        )
+        assert newest.read_bytes() == STALE_BYTES
+        assert ledger.latest()["next_record"] == 100
 
     def test_trace_sidecar_stale_rebuilt(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))

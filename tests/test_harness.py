@@ -151,9 +151,12 @@ class TestScaledRecords:
         assert scaled_records() == int(DEFAULT_RECORDS * 0.5)
 
     def test_invalid_scale(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "-1")
-        with pytest.raises(ValueError):
-            scaled_records()
+        # Non-finite scales must fail naming the variable, not with an
+        # unrelated error from int().
+        for raw in ("-1", "0", "nan", "inf", "-inf"):
+            monkeypatch.setenv("REPRO_SCALE", raw)
+            with pytest.raises(ValueError, match="REPRO_SCALE"):
+                scaled_records()
 
 
 class TestRunner:

@@ -16,7 +16,7 @@ pins them to the readable references four ways:
 * **whole-engine** — chunked (checkpoint/resume) runs equal one
   undisturbed pass, chunks alternating between the flat and readable
   implementations, and the 20k benchmark grid's scalars are identical
-  with ``REPRO_FLAT_POLICIES`` on and off;
+  between the registry's flat twin and the readable scheme;
 * **packed sampler mechanics** — the 8-bit-lane occupancy vector
   (pack/unpack round-trip, lane tables, the one-add "any quantum
   full?" test) against the reference ``_OPTgen``, plus the bounded
@@ -46,7 +46,7 @@ from repro.mem.policies.flat_hawkeye import (
 )
 from repro.mem.policies.ghrp import GHRPPolicy
 from repro.mem.policies.hawkeye import HawkeyePolicy, _OPTgen
-from repro.uarch.params import DEFAULT_MACHINE
+from repro.uarch.params import BASELINE_L1I, DEFAULT_MACHINE
 from repro.workloads.profiles import get_workload
 
 #: Tiny geometry (8 sets x 4 ways) so sets fill, evict and prune hard.
@@ -199,13 +199,12 @@ class TestLockstep:
         )
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_lockstep_without_prepass(self, kind, monkeypatch):
+    def test_lockstep_without_prepass(self, kind):
         """The memo-hash fallback path is the same machine."""
-        monkeypatch.setenv("REPRO_REPLACEMENT_PREPASS", "0")
         ops = _schedule(3)
         flat, ref = _make_pair(kind)
-        trace = get_workload("media-streaming").trace(records=2000)
-        flat.prepare_trace(trace)  # must be a no-op binding
+        # No pre-pass bound: every access takes the memo-hash path (as
+        # it does for any non-default geometry, see TestPrepassCache).
         assert flat._sig_of_t is None
         assert _drive(flat, ops, 0, len(ops)) == _drive(ref, ops, 0, len(ops))
 
@@ -353,8 +352,9 @@ class TestEngineChunked:
         self, kind, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
+        monkeypatch.delenv("REPRO_SHARD_WINDOW", raising=False)
         plain = run_experiment(WORKLOAD, kind, records=RECORDS)
-        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "2000")
+        monkeypatch.setenv("REPRO_SHARD_WINDOW", "2000")
         windowed = run_experiment(WORKLOAD, kind, records=RECORDS)
         assert _scalars(windowed.run) == _scalars(plain.run)
 
@@ -363,10 +363,7 @@ class TestFlatReadableGrid:
     """Registry-level equivalence on the benchmark grid."""
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_env_opt_out_builds_readable(self, kind, context, monkeypatch):
-        monkeypatch.setenv("REPRO_FLAT_POLICIES", "0")
-        assert isinstance(make_scheme(kind, context), PlainCacheScheme)
-        monkeypatch.delenv("REPRO_FLAT_POLICIES")
+    def test_registry_builds_flat_twin(self, kind, context):
         flat_cls = FlatGHRPScheme if kind == "ghrp" else FlatHawkeyeScheme
         assert isinstance(make_scheme(kind, context), flat_cls)
 
@@ -376,16 +373,26 @@ class TestFlatReadableGrid:
         self, kind, prefetcher, tmp_path, monkeypatch
     ):
         """The bench grid itself: 20k records, flat vs readable."""
+        from repro.frontend.plan import cached_plan
+        from repro.uarch.timing import simulate
+
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
-        monkeypatch.delenv("REPRO_FLAT_POLICIES", raising=False)
         flat = run_experiment(
             WORKLOAD, kind, prefetcher=prefetcher, records=20_000
         )
-        monkeypatch.setenv("REPRO_FLAT_POLICIES", "0")
-        readable = run_experiment(
-            WORKLOAD, kind, prefetcher=prefetcher, records=20_000
+        trace = get_workload(WORKLOAD).trace(records=20_000)
+        policy = (
+            GHRPPolicy()
+            if kind == "ghrp"
+            else HawkeyePolicy(ways=BASELINE_L1I.ways)
         )
-        assert _scalars(flat.run) == _scalars(readable.run)
+        readable = simulate(
+            trace,
+            PlainCacheScheme(BASELINE_L1I, policy),
+            machine=DEFAULT_MACHINE,
+            plan=cached_plan(trace, DEFAULT_MACHINE, prefetcher),
+        )
+        assert _scalars(flat.run) == _scalars(readable)
 
 
 class TestPackedOccupancy:
@@ -602,11 +609,3 @@ class TestPrepassCache:
         harmony = FlatHawkeyeScheme(small, HawkeyePolicy(ways=small.ways))
         harmony.prepare_trace(trace)
         assert harmony._sig_of_t is None
-
-    def test_disabled_env_skips_disk_and_binding(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REPLACEMENT_PREPASS", "0")
-        trace = get_workload(WORKLOAD).trace(records=700)
-        twin = FlatGHRPScheme(CONFIG)
-        twin.prepare_trace(trace)
-        assert twin._sig_of_t is None
-        assert not prepass_mod.PREPASS_STORE._memo

@@ -36,6 +36,7 @@ from repro.harness.shards import (
     DrainRequested,
     ShardLedger,
     ledger_for,
+    run_fingerprint,
     shard_window,
     shards_dir,
     window_spans,
@@ -65,10 +66,9 @@ def _scalars(run):
 
 @pytest.fixture(autouse=True)
 def shard_env(tmp_path, monkeypatch):
-    """Isolated ledger/result dirs; no ambient shard/checkpoint config."""
+    """Isolated ledger/result dirs; no ambient shard config."""
     monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
     monkeypatch.delenv("REPRO_SHARD_WINDOW", raising=False)
-    monkeypatch.delenv("REPRO_CHECKPOINT_EVERY", raising=False)
     monkeypatch.delenv("REPRO_FAULT", raising=False)
     monkeypatch.delenv("REPRO_FAULT_ONCE", raising=False)
     faults.reset()
@@ -173,6 +173,13 @@ class TestShardLedger:
         assert ledger.latest() == _state(200, "newer")
         ledger.close()
 
+    def test_write_leaves_no_tmp(self, tmp_path):
+        ledger = self._ledger(tmp_path)
+        ledger.record(_state(100))
+        ledger.record(_state(200))
+        assert not list(ledger.dir.glob("*.tmp")), "write-then-rename leak"
+        ledger.close()
+
     def test_resume_across_instances(self, tmp_path):
         self._ledger(tmp_path).record(_state(100))
         again = self._ledger(tmp_path)
@@ -269,6 +276,26 @@ class TestShardLedger:
         assert len({a.fingerprint, b.fingerprint, c.fingerprint}) == 3
         assert a.stem != b.stem
 
+    def test_run_fingerprint_sensitivity(self):
+        args = ("w", "s", "fdp", 1000, "m", "t", "planned")
+        base = run_fingerprint(*args)
+        for i in range(len(args)):
+            changed = list(args)
+            changed[i] = "other" if isinstance(changed[i], str) else 999
+            assert run_fingerprint(*changed) != base, f"ingredient {i} ignored"
+
+    def test_ledger_identity_is_stable(self):
+        """Pinned literals: a change here orphans every ledger on disk.
+
+        The hashed text (``ckpt1|...``) and the ``+w<window>`` mode
+        suffix are the on-disk identity of interrupted runs; moving or
+        refactoring the fingerprint code must reproduce them exactly.
+        """
+        args = ("media-streaming", "acic", "fdp", 4000, "m0", "t0", "planned")
+        assert run_fingerprint(*args) == "ae0dbb227a6cacc1"
+        stem = ledger_for(*args, 1500).stem
+        assert stem == "media-streaming.acic.f6cdf01b2ae14b0d"
+
 
 class TestShardedStitching:
     @pytest.mark.parametrize("scheme", sorted(available_schemes()))
@@ -292,8 +319,6 @@ class TestShardedStitching:
         self, context, plain_runs, monkeypatch
     ):
         monkeypatch.setenv("REPRO_SHARD_WINDOW", str(WINDOW))
-        # Env sharding must also win over plain checkpointing.
-        monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "777")
         run = run_experiment(
             WORKLOAD, "lru", records=RECORDS, context=context
         ).run

@@ -1,8 +1,8 @@
 """save_state/load_state identity for every registered scheme.
 
-The checkpoint machinery (``repro/harness/checkpoint.py``) only works if
-every stateful component can be serialized mid-run and restored into a
-*fresh* object with no behavioural drift.  These tests pin that
+Engine checkpoints (the shard ledger, ``repro/harness/shards.py``) only
+work if every stateful component can be serialized mid-run and restored
+into a *fresh* object with no behavioural drift.  These tests pin that
 contract property-style: drive a scheme through a randomized schedule
 (tiny block space, capacity pressure everywhere — the idiom of
 ``test_acic_differential.py``), cut at a random point, pickle the saved
@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core.controller import ACICScheme
+from repro.harness import schemes
 from repro.harness.schemes import (
     SchemeContext,
     available_schemes,
@@ -120,7 +121,7 @@ def _roundtrip(name: str, context: SchemeContext, seed: int):
     original = make_scheme(name, context)
     _drive(original, ops, 0, cut)
 
-    # Across a simulated process boundary: the checkpoint store pickles
+    # Across a simulated process boundary: the shard ledger pickles
     # exactly this payload.
     state = pickle.loads(pickle.dumps(original.save_state()))
 
@@ -152,7 +153,7 @@ def test_randomized_cut_points(name, context, seed):
 
 def test_naive_acic_controller_roundtrips(context, monkeypatch):
     """The readable reference controller honours the same contract."""
-    monkeypatch.setenv("REPRO_FLAT_ACIC", "0")
+    monkeypatch.setattr(schemes, "FlatACICScheme", ACICScheme)
     scheme = make_scheme("acic", context)
     assert isinstance(scheme, ACICScheme)
     _roundtrip("acic", context, seed=3)
