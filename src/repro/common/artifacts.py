@@ -6,9 +6,10 @@ four are cached by an :class:`ArtifactStore`, which owns the whole
 on-disk lifecycle:
 
 * ``<stem>.npz`` — the durable, compressed copy: a ``meta`` JSON member
-  plus one member per array.  Written to a temp file and renamed into
-  place, so a concurrent reader never loads a partial file; the temp
-  file is removed even when the write raises.
+  plus one member per array, deflated at level 1 (:func:`write_npz`).
+  Written to a temp file and renamed into place, so a concurrent reader
+  never loads a partial file; the temp file is removed even when the
+  write raises.
 * ``<stem>.mmap/`` — the *sidecar*: the same arrays as raw ``.npy``
   files, served through ``np.load(mmap_mode="r")`` so every sweep
   worker loading one workload shares one page cache instead of each
@@ -36,13 +37,21 @@ import hashlib
 import json
 import os
 import shutil
+import zipfile
 from collections import OrderedDict
 from pathlib import Path
 from typing import Callable, Dict, Mapping, Optional
 
 import numpy as np
+from numpy.lib.format import write_array
 
 from repro.common.faults import fire
+
+#: Deflate level of every npz the store writes.  A cold build writes its
+#: trace and plan once; level 1 writes them about 4x faster than
+#: ``np.savez_compressed``'s level 6 for files about 24% larger.
+#: Readers accept any level.
+NPZ_DEFLATE_LEVEL = 1
 
 
 def sidecar_path(npz: Path) -> Path:
@@ -66,6 +75,21 @@ def _file_sha1(path: Path) -> str:
                 h.update(chunk)
         digest = _sha1_memo[key] = h.hexdigest()
     return digest
+
+
+def write_npz(path: Path, arrays: Mapping[str, np.ndarray]) -> None:
+    """Write ``arrays`` as an ``np.load``-able npz at :data:`NPZ_DEFLATE_LEVEL`.
+
+    The same layout ``np.savez_compressed`` writes (one ``<name>.npy``
+    member per array), with the compression level chosen here.
+    """
+    with zipfile.ZipFile(
+        path, "w", zipfile.ZIP_DEFLATED, allowZip64=True,
+        compresslevel=NPZ_DEFLATE_LEVEL,
+    ) as zf:
+        for name, value in arrays.items():
+            with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
+                write_array(fh, np.asanyarray(value), allow_pickle=False)
 
 
 def _check(meta: Mapping[str, object], expect: Mapping[str, object]) -> None:
@@ -142,15 +166,12 @@ class ArtifactStore:
     def put(self, path: Path, artifact) -> None:
         """Write ``artifact`` to ``path`` (write-then-rename) and its sidecar."""
         path.parent.mkdir(parents=True, exist_ok=True)
-        # The temp name keeps the .npz suffix: np.savez would otherwise
-        # append one and the rename source would not exist.
         tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp.npz")
         try:
-            np.savez_compressed(
-                tmp,
-                meta=np.bytes_(json.dumps(artifact.meta(), sort_keys=True).encode()),
+            write_npz(tmp, {
+                "meta": np.bytes_(json.dumps(artifact.meta(), sort_keys=True).encode()),
                 **{name: getattr(artifact, name) for name in self.kind.FIELDS},
-            )
+            })
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)

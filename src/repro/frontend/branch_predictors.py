@@ -117,6 +117,10 @@ class GsharePredictor:
         load_stats(self.stats, state["stats"])
 
 
+#: TAGE's global history register width.
+_GHR_MASK = mask(1024)
+
+
 class _TageEntry:
     __slots__ = ("tag", "counter", "useful")
 
@@ -132,6 +136,12 @@ class TagePredictor:
     Faithful to the TAGE structure (geometric history lengths, tagged
     components, provider/altpred selection, useful counters, allocation
     on mispredict) while staying small enough for a Python hot loop.
+
+    Each table keeps its folded index and tag histories as circular
+    shift registers, updated by one rotate-and-XOR per outcome instead
+    of refolding the global history on every lookup.  ``_fold_history``
+    is the readable definition they always equal; ``reset`` and
+    ``load_state`` re-derive them from it.
     """
 
     def __init__(
@@ -159,7 +169,13 @@ class TagePredictor:
         self.base = BimodalPredictor(table_bits=12, counter_bits=2)
         self.ghr = 0
         self.stats = PredictorStats()
-        self._alloc_seed = 0x9E37
+        # Per table: the GHR bit leaving its window, and where that bit
+        # sits in the index and tag folds.
+        self._fold_taps = [
+            (length - 1, length % table_bits, length % tag_bits)
+            for length in self.history_lengths
+        ]
+        self._refold()
 
     def _fold_history(self, length: int, bits: int) -> int:
         """Fold the most recent ``length`` history bits down to ``bits``."""
@@ -170,22 +186,44 @@ class TagePredictor:
             h >>= bits
         return folded
 
+    def _refold(self) -> None:
+        """Re-derive the folded histories from ``ghr``; drop the memo."""
+        self._fold_idx = [
+            self._fold_history(length, self.table_bits)
+            for length in self.history_lengths
+        ]
+        self._fold_tag = [
+            self._fold_history(length, self.tag_bits)
+            for length in self.history_lengths
+        ]
+        self._providers: dict = {}
+
     def _index(self, table: int, site: int) -> int:
-        folded = self._fold_history(self.history_lengths[table], self.table_bits)
+        folded = self._fold_idx[table]
         return fold_hash(site ^ (folded << 1) ^ table, self.table_bits)
 
     def _tag(self, table: int, site: int) -> int:
-        folded = self._fold_history(self.history_lengths[table], self.tag_bits)
+        folded = self._fold_tag[table]
         return fold_hash(site ^ (folded << 3) ^ (table << 7), self.tag_bits)
 
     def _provider(self, site: int):
-        """Longest-history matching component, or None."""
+        """Longest-history matching component, or None.
+
+        Memoised per site until the next ``update``: nothing else moves
+        the histories or the tables.
+        """
+        memo = self._providers
+        if site in memo:
+            return memo[site]
+        found = None
         for table in range(self.num_tables - 1, -1, -1):
             idx = self._index(table, site)
             entry = self.tables[table][idx]
             if entry is not None and entry.tag == self._tag(table, site):
-                return table, idx, entry
-        return None
+                found = (table, idx, entry)
+                break
+        memo[site] = found
+        return found
 
     def predict(self, site: int) -> bool:
         provider = self._provider(site)
@@ -222,7 +260,32 @@ class TagePredictor:
         if not correct:
             self._allocate(site, taken, from_table=table + 1)
 
-        self.ghr = ((self.ghr << 1) | int(taken)) & mask(1024)
+        self._shift_history(int(taken))
+
+    def _shift_history(self, bit: int) -> None:
+        """Push ``bit`` into the GHR and every folded history.
+
+        Folding places history bit ``i`` at ``i % width``, so shifting
+        the history rotates the fold left by one; the new outcome lands
+        in bit 0 and the bit leaving the ``length``-bit window (bit
+        ``length - 1`` of the old GHR) is cancelled at ``length % width``.
+        """
+        ghr = self.ghr
+        fold_idx, fold_tag = self._fold_idx, self._fold_tag
+        idx_top, tag_top = self.table_bits - 1, self.tag_bits - 1
+        idx_mask, tag_mask = mask(self.table_bits), mask(self.tag_bits)
+        for table, (top, idx_out, tag_out) in enumerate(self._fold_taps):
+            out = (ghr >> top) & 1
+            f = fold_idx[table]
+            fold_idx[table] = (
+                (((f << 1) | (f >> idx_top)) & idx_mask) ^ bit ^ (out << idx_out)
+            )
+            f = fold_tag[table]
+            fold_tag[table] = (
+                (((f << 1) | (f >> tag_top)) & tag_mask) ^ bit ^ (out << tag_out)
+            )
+        self.ghr = ((ghr << 1) | bit) & _GHR_MASK
+        self._providers.clear()
 
     def _allocate(self, site: int, taken: bool, from_table: int) -> None:
         """On mispredict, claim an entry in a longer-history table."""
@@ -242,23 +305,29 @@ class TagePredictor:
         self.base = BimodalPredictor(table_bits=12, counter_bits=2)
         self.ghr = 0
         self.stats = PredictorStats()
+        self._refold()
 
     # -- checkpoint/resume --------------------------------------------------
     #
     # ``_TageEntry`` is a module-level __slots__ class, so the tagged
     # tables deepcopy and pickle cleanly; the bimodal base delegates.
+    # The folded histories and the provider memo are derived from
+    # ``ghr`` and the tables, so they are rebuilt rather than saved.
 
     def save_state(self) -> dict:
         from repro.common.state import save_attrs, save_stats
 
-        state = save_attrs(self, ("tables", "ghr", "_alloc_seed"))
+        state = save_attrs(self, ("tables", "ghr"))
         state["base"] = self.base.save_state()
         state["stats"] = save_stats(self.stats)
         return state
 
     def load_state(self, state: dict) -> None:
+        """Restore a saved state (an ``_alloc_seed`` key from older
+        states is accepted and ignored)."""
         from repro.common.state import load_attrs, load_stats
 
-        load_attrs(self, state, ("tables", "ghr", "_alloc_seed"))
+        load_attrs(self, state, ("tables", "ghr"))
         self.base.load_state(state["base"])
         load_stats(self.stats, state["stats"])
+        self._refold()

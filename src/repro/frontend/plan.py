@@ -58,6 +58,7 @@ import hashlib
 import json
 import os
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -462,8 +463,8 @@ def build_plan(
         """Frontier advance for one record; returns (ra, lo, hi, stalled).
 
         Mirrors ``FetchDirectedPrefetcher.candidates`` exactly, but
-        jumps over non-training records (always predictable) with
-        searchsorted instead of walking them.
+        jumps over non-training records (always predictable) with a
+        bisection instead of walking them.
         """
         start = ra if ra > i else i + 1
         limit = i + depth
@@ -474,7 +475,7 @@ def build_plan(
         p = start
         stalled = False
         while True:
-            k = int(np.searchsorted(events, p))
+            k = bisect_left(events_list, p)
             q = events_list[k] if k < n_events else n
             if q > limit:
                 p = limit + 1
@@ -523,7 +524,7 @@ def build_plan(
                 break
             # Next training record at/after the frontier; until the
             # window reaches it the frontier tracks i + depth exactly.
-            k = int(np.searchsorted(events, ra))
+            k = bisect_left(events_list, ra)
             q = events_list[k] if k < n_events else n
             j_end = seg_end if q >= n else min(seg_end, q - depth)
             if j_end > i:

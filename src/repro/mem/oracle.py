@@ -29,21 +29,20 @@ class NextUseOracle:
         blocks_arr = np.asarray(blocks, dtype=np.int64)
         n = len(blocks_arr)
         self.length = n
+        # A stable sort groups each block's accesses in time order, so
+        # every access's next use is its successor within the group.
+        order = np.argsort(blocks_arr, kind="stable")
+        grouped = blocks_arr[order]
+        same = grouped[1:] == grouped[:-1]
         next_use = np.full(n, NEVER, dtype=np.int64)
-        last_seen: Dict[int, int] = {}
-        # Backward pass: next_use[t] = the index of the following access.
-        for t in range(n - 1, -1, -1):
-            block = int(blocks_arr[t])
-            seen = last_seen.get(block)
-            if seen is not None:
-                next_use[t] = seen
-            last_seen[block] = t
+        next_use[order[:-1][same]] = order[1:][same]
         self._next_use = next_use
         # Per-block sorted position lists for arbitrary-time queries.
-        positions: Dict[int, list] = {}
-        for t, block in enumerate(blocks_arr.tolist()):
-            positions.setdefault(block, []).append(t)
-        self._positions = positions
+        starts = np.flatnonzero(~same) + 1
+        firsts = grouped[np.r_[0, starts]].tolist() if n else []
+        self._positions: Dict[int, list] = {
+            block: run.tolist() for block, run in zip(firsts, np.split(order, starts))
+        }
 
     def next_use_at(self, t: int) -> int:
         """Next access index of the block accessed at ``t`` (after ``t``)."""

@@ -12,10 +12,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.common import artifacts as artifacts_mod
 from repro.common import faults
 from repro.common.artifacts import sidecar_path
 from repro.frontend.entangling_plan import ENTANGLING_PLAN_STORE, build_entangling_plan
@@ -23,6 +25,7 @@ from repro.frontend.plan import PLAN_STORE, build_plan
 from repro.harness.schemes import SchemeContext, make_scheme
 from repro.mem.prepass import PREPASS_STORE, build_replacement_prepass
 from repro.uarch.params import DEFAULT_MACHINE
+from repro.workloads.profiles import get_workload
 from repro.workloads.trace import TRACE_STORE
 
 #: kind -> (store, meta key naming the entry, a per-record array field)
@@ -184,13 +187,13 @@ class TestWriteFaults:
         assert entry.path.stat().st_size > truncated, "npz was rebuilt whole"
 
     def test_raising_npz_write_leaves_no_temp_file(self, entry, monkeypatch):
-        real = np.savez_compressed
+        real = artifacts_mod.write_npz
 
         def write_then_raise(file, *args, **kwargs):
             real(file, *args, **kwargs)
             raise RuntimeError("disk full")
 
-        monkeypatch.setattr(np, "savez_compressed", write_then_raise)
+        monkeypatch.setattr(artifacts_mod, "write_npz", write_then_raise)
         with pytest.raises(RuntimeError, match="disk full"):
             entry.get()
         assert not entry.path.exists()
@@ -211,6 +214,40 @@ class TestWriteFaults:
         assert not entry.sidecar.exists()
         assert not list(entry.path.parent.glob("*.tmp.npz"))
         assert not list(entry.path.parent.glob("*.tmp"))
+
+
+class TestNpzFormat:
+    def test_store_npz_loads_identically_through_plain_np_load(self, entry):
+        entry.get()
+        via_store = entry.store.read_npz(entry.path)
+        entry.assert_equal(via_store)
+        with np.load(entry.path) as data:
+            assert sorted(data.files) == sorted(("meta", *entry.store.kind.FIELDS))
+            assert json.loads(bytes(data["meta"]).decode()) == via_store.meta()
+            for name in entry.store.kind.FIELDS:
+                want = np.asarray(getattr(via_store, name))
+                assert data[name].dtype == want.dtype, name
+                assert np.array_equal(data[name], want), name
+
+    def test_committed_level6_trace_loads_without_rewrite(self, tmp_path):
+        """Entries written by ``np.savez_compressed`` stay readable as-is."""
+        profile = get_workload("media-streaming")
+        committed = (
+            Path(__file__).resolve().parents[1] / ".cache" / "traces"
+            / f"media-streaming-r2000-s{profile.seed}.npz"
+        )
+        entry = tmp_path / committed.name
+        shutil.copy2(committed, entry)
+        before = (entry.stat().st_mtime_ns, entry.read_bytes())
+
+        def build():
+            raise AssertionError("a committed entry must not be rebuilt")
+
+        want = TRACE_STORE.read_npz(committed)
+        trace = TRACE_STORE.get(entry, build, expect={"records": len(want)})
+        for name in TRACE_STORE.kind.FIELDS:
+            assert np.array_equal(getattr(trace, name), getattr(want, name)), name
+        assert (entry.stat().st_mtime_ns, entry.read_bytes()) == before
 
 
 class TestMemo:

@@ -1,7 +1,12 @@
 """Tests for the branch-prediction stack and prefetchers."""
 
+import pickle
+import random
+
 import numpy as np
 import pytest
+
+from repro.common.bitops import fold_hash
 
 from repro.frontend.branch_predictors import (
     BimodalPredictor,
@@ -94,11 +99,165 @@ class TestTage:
                 total += 1
         assert correct / total > 0.8
 
+    def test_save_load_roundtrip(self):
+        stream = _branch_stream(seed=6, n=2_000)
+        original = TagePredictor()
+        for site, taken in stream[:1_200]:
+            original.update(site, taken)
+        state = pickle.loads(pickle.dumps(original.save_state()))
+        assert "_alloc_seed" not in state
+        # States saved before the dead ``_alloc_seed`` was dropped (shard
+        # ledgers on disk) still load.
+        legacy = dict(state, _alloc_seed=0x9E37)
+        for saved in (state, legacy):
+            restored = TagePredictor()
+            for site, taken in _branch_stream(seed=8, n=300):
+                restored.update(site, taken)
+            restored.load_state(saved)
+            _assert_same_state(restored, original)
+            assert not hasattr(restored, "_alloc_seed")
+            for site, taken in stream[1_200:]:
+                assert restored.predict(site) == original.predict(site)
+                restored.update(site, taken)
+                original.update(site, taken)
+            _assert_same_state(restored, original)
+            original.load_state(state)
+
     def test_geometric_history_lengths(self):
         p = TagePredictor(num_tables=4, min_history=4, max_history=64)
         assert p.history_lengths[0] == 4
         assert p.history_lengths[-1] == 64
         assert all(a < b for a, b in zip(p.history_lengths, p.history_lengths[1:]))
+
+
+class ReferenceTage(TagePredictor):
+    """TAGE as first written: refold the GHR on every lookup, memoise nothing.
+
+    The differential reference for :class:`TagePredictor`'s incremental
+    folded histories and per-site provider memo.
+    """
+
+    def _index(self, table, site):
+        folded = self._fold_history(self.history_lengths[table], self.table_bits)
+        return fold_hash(site ^ (folded << 1) ^ table, self.table_bits)
+
+    def _tag(self, table, site):
+        folded = self._fold_history(self.history_lengths[table], self.tag_bits)
+        return fold_hash(site ^ (folded << 3) ^ (table << 7), self.tag_bits)
+
+    def _provider(self, site):
+        for table in range(self.num_tables - 1, -1, -1):
+            idx = self._index(table, site)
+            entry = self.tables[table][idx]
+            if entry is not None and entry.tag == self._tag(table, site):
+                return table, idx, entry
+        return None
+
+
+#: Geometries for the differential test: the default (history lengths
+#: 4/10/25/64; the 10-bit history into 10 index bits covers a fold whose
+#: outgoing bit lands on bit 0), and one with histories shorter and far
+#: longer than the fold widths.
+TAGE_GEOMETRIES = [
+    {},
+    dict(num_tables=6, table_bits=7, tag_bits=8, min_history=1, max_history=300),
+]
+
+
+def _branch_stream(seed, n):
+    """``(site, taken)`` pairs: biased, periodic and history-correlated sites."""
+    rng = random.Random(seed)
+    sites = [rng.randrange(1 << 24) for _ in range(40)]
+    bias = {s: rng.choice((0.03, 0.5, 0.97)) for s in sites}
+    period = {s: rng.choice((0, 0, 3, 5, 7)) for s in sites}
+    stream, last = [], False
+    for k in range(n):
+        site = rng.choice(sites)
+        if period[site]:
+            taken = k % period[site] < period[site] // 2 + 1
+        elif bias[site] == 0.5:
+            taken = not last  # correlated with the previous outcome
+        else:
+            taken = rng.random() < bias[site]
+        stream.append((site, taken))
+        last = taken
+    return stream
+
+
+def _tables(p):
+    return [
+        [None if e is None else (e.tag, e.counter, e.useful) for e in table]
+        for table in p.tables
+    ]
+
+
+def _provided(p, site):
+    found = p._provider(site)
+    if found is None:
+        return None
+    table, idx, e = found
+    return table, idx, e.tag, e.counter, e.useful
+
+
+def _assert_same_state(a, b):
+    assert a.ghr == b.ghr
+    assert _tables(a) == _tables(b)
+    assert a.base.table == b.base.table
+    assert a.stats == b.stats
+
+
+def _assert_folds_exact(p):
+    assert p._fold_idx == [
+        p._fold_history(length, p.table_bits) for length in p.history_lengths
+    ]
+    assert p._fold_tag == [
+        p._fold_history(length, p.tag_bits) for length in p.history_lengths
+    ]
+
+
+def _lockstep(fast, ref, stream, probe_seed):
+    """Drive both through ``stream``; every prediction and fold must agree."""
+    rng = random.Random(probe_seed)
+    sites = [site for site, _ in stream]
+    tagged = 0
+    for site, taken in stream:
+        probe = rng.choice(sites)
+        assert fast.predict(probe) == ref.predict(probe)
+        assert fast.predict(site) == ref.predict(site)
+        assert _provided(fast, site) == _provided(ref, site)
+        tagged += ref._provider(site) is not None
+        fast.update(site, taken)
+        ref.update(site, taken)
+        _assert_folds_exact(fast)
+        assert fast.predict(site) == ref.predict(site)
+    _assert_same_state(fast, ref)
+    return tagged
+
+
+class TestTageIncrementalFolds:
+    @pytest.mark.parametrize("geometry", TAGE_GEOMETRIES, ids=["default", "wide"])
+    def test_matches_refolding_reference(self, geometry):
+        fast, ref = TagePredictor(**geometry), ReferenceTage(**geometry)
+        stream = _branch_stream(seed=1, n=6_000)
+        tagged = _lockstep(fast, ref, stream[:3_000], probe_seed=2)
+
+        # Mid-stream checkpoint into a predictor trained on other data.
+        state = pickle.loads(pickle.dumps(fast.save_state()))
+        restored = TagePredictor(**geometry)
+        for site, taken in _branch_stream(seed=9, n=700):
+            restored.update(site, taken)
+        restored.load_state(state)
+        _assert_folds_exact(restored)
+        tagged += _lockstep(restored, ref, stream[3_000:], probe_seed=3)
+
+        restored.reset()
+        ref.reset()
+        _assert_folds_exact(restored)
+        assert restored.ghr == 0 and not restored._providers
+        tagged += _lockstep(restored, ref, _branch_stream(seed=4, n=1_500), 5)
+        # The tagged components must actually provide predictions, or
+        # the folds were never exercised.
+        assert tagged > 1_000
 
 
 class TestBranchStack:

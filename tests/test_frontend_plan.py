@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,8 +36,15 @@ from repro.harness.experiment import build_prefetcher, run_experiment
 from repro.harness.schemes import SchemeContext, available_schemes, make_scheme
 from repro.uarch.params import DEFAULT_MACHINE, MachineParams
 from repro.uarch.timing import simulate
-from repro.workloads.profiles import ALL_WORKLOADS, get_workload
-from repro.workloads.trace import BranchKind, Trace, validate_trace
+from repro.workloads.profiles import (
+    ALL_WORKLOADS,
+    DATACENTER_WORKLOADS,
+    get_workload,
+)
+from repro.workloads.trace import TRACE_STORE, BranchKind, Trace, validate_trace
+
+#: The repository's committed artifact caches.
+COMMITTED = Path(__file__).resolve().parents[1] / ".cache"
 
 SCALARS = (
     "instructions",
@@ -184,6 +192,32 @@ class TestBuilderEquivalence:
                 assert np.array_equal(
                     getattr(ref, name), getattr(fast, name)
                 ), (kind, name)
+
+
+class TestCommittedPlans:
+    """The builder reproduces the committed full-length Table III plans.
+
+    The plan fingerprint covers the trace and the stack geometry but not
+    the predictor code, so a predictor change that alters verdicts would
+    otherwise hide behind cache hits.  Reads only; writes nothing.
+    """
+
+    @pytest.mark.parametrize("workload", sorted(DATACENTER_WORKLOADS))
+    def test_rebuild_matches_committed_plan(self, workload):
+        profile = get_workload(workload)
+        trace = TRACE_STORE.read_npz(
+            COMMITTED / "traces" / f"{workload}-r160000-s{profile.seed}.npz"
+        )
+        fingerprint = frontend_fingerprint(trace, DEFAULT_MACHINE, "fdp")
+        want = PLAN_STORE.read_npz(
+            COMMITTED / "plans" / f"{workload}.{fingerprint}.npz",
+            expect={"fingerprint": fingerprint, "records": len(trace)},
+        )
+        got = build_plan(trace, DEFAULT_MACHINE, "fdp")
+        assert got.meta() == want.meta()
+        for name in PLAN_STORE.kind.FIELDS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 class TestPlannedSimulateEquivalence:

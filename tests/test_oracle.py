@@ -1,5 +1,7 @@
 """Tests for the next-use oracle."""
 
+import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.mem.oracle import NEVER, NextUseOracle
@@ -50,3 +52,66 @@ class TestNextUse:
                 expected = j
                 break
         assert oracle.next_use_of(block, t) == expected
+
+
+class NaiveNextUseOracle(NextUseOracle):
+    """The oracle built by two plain loops: the readable reference."""
+
+    def __init__(self, blocks):
+        blocks_arr = np.asarray(blocks, dtype=np.int64)
+        n = len(blocks_arr)
+        self.length = n
+        next_use = np.full(n, NEVER, dtype=np.int64)
+        last_seen = {}
+        # Backward pass: next_use[t] = the index of the following access.
+        for t in range(n - 1, -1, -1):
+            block = int(blocks_arr[t])
+            seen = last_seen.get(block)
+            if seen is not None:
+                next_use[t] = seen
+            last_seen[block] = t
+        self._next_use = next_use
+        positions = {}
+        for t, block in enumerate(blocks_arr.tolist()):
+            positions.setdefault(block, []).append(t)
+        self._positions = positions
+
+
+def _sequences():
+    """Random block sequences with small alphabets and long runs."""
+    rng = np.random.RandomState(7)
+    yield []
+    yield [42]
+    yield [3, 3, 3, 3]
+    for alphabet in (1, 2, 5, 40):
+        for _ in range(3):
+            runs = rng.randint(0, alphabet, size=rng.randint(1, 60))
+            lengths = rng.geometric(0.3, size=len(runs))
+            yield np.repeat(runs, lengths).tolist()
+    # Large, sparse block ids, as real traces carry.
+    yield (rng.randint(0, 30, size=500) * 1_000_003 + (1 << 40)).tolist()
+
+
+class TestVectorisedMatchesNaive:
+    @pytest.mark.parametrize("blocks", list(_sequences()), ids=lambda b: f"n{len(b)}")
+    def test_structures_and_queries(self, blocks):
+        fast, naive = NextUseOracle(blocks), NaiveNextUseOracle(blocks)
+        n = len(blocks)
+        assert fast.length == naive.length == n
+        assert fast._next_use.dtype == naive._next_use.dtype
+        assert np.array_equal(fast._next_use, naive._next_use)
+        assert fast._positions == naive._positions
+        assert all(type(b) is int for b in fast._positions)
+        assert all(
+            type(t) is int for pos in fast._positions.values() for t in pos
+        )
+        for t in range(n):
+            assert fast.next_use_at(t) == naive.next_use_at(t)
+            assert fast.reuse_distance_after(t) == naive.reuse_distance_after(t)
+        for t in (n, n + 5):
+            with pytest.raises(IndexError):
+                fast.next_use_at(t)
+        absent = max(blocks, default=0) + 1
+        for block in sorted(set(blocks)) + [absent, -1]:
+            for t in range(-2, n + 3):
+                assert fast.next_use_of(block, t) == naive.next_use_of(block, t)
